@@ -1,5 +1,6 @@
 #include "ctype/ctype.h"
 
+#include <array>
 #include <cassert>
 
 namespace cherisem::ctype {
@@ -38,35 +39,49 @@ makeType(Type t)
 
 } // namespace
 
-TypeRef
+const TypeRef &
 voidType()
 {
-    static TypeRef t = makeType(Type{});
+    static const TypeRef t = makeType(Type{});
     return t;
 }
 
-TypeRef
+// The scalar tables are magic statics: built once, then read-only, so
+// concurrent first touches from several threads are safe.
+
+const TypeRef &
 intType(IntKind k)
 {
-    static TypeRef cache[16];
+    constexpr size_t n = static_cast<size_t>(IntKind::Uintptr) + 1;
+    static const std::array<TypeRef, n> table = [] {
+        std::array<TypeRef, n> out;
+        for (size_t i = 0; i < n; ++i) {
+            Type t;
+            t.kind = Type::Kind::Integer;
+            t.intKind = static_cast<IntKind>(i);
+            out[i] = makeType(std::move(t));
+        }
+        return out;
+    }();
     auto idx = static_cast<size_t>(k);
-    assert(idx < 16);
-    if (!cache[idx]) {
-        Type t;
-        t.kind = Type::Kind::Integer;
-        t.intKind = k;
-        cache[idx] = makeType(std::move(t));
-    }
-    return cache[idx];
+    assert(idx < n);
+    return table[idx];
 }
 
-TypeRef
+const TypeRef &
 floatType(FloatKind k)
 {
-    Type t;
-    t.kind = Type::Kind::Floating;
-    t.floatKind = k;
-    return makeType(std::move(t));
+    static const std::array<TypeRef, 2> table = [] {
+        std::array<TypeRef, 2> out;
+        for (FloatKind fk : {FloatKind::Float, FloatKind::Double}) {
+            Type t;
+            t.kind = Type::Kind::Floating;
+            t.floatKind = fk;
+            out[static_cast<size_t>(fk)] = makeType(std::move(t));
+        }
+        return out;
+    }();
+    return table[static_cast<size_t>(k)];
 }
 
 TypeRef

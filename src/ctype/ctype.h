@@ -132,11 +132,12 @@ struct Type
     bool isCapCarrying() const { return isPointer() || isCapInteger(); }
 };
 
-/// @name Type factories (uniqued for the common scalar types).
+/// @name Type factories.  The scalar types are built once, in
+/// immutable tables, and shared by every caller on every thread.
 /// @{
-TypeRef voidType();
-TypeRef intType(IntKind k);
-TypeRef floatType(FloatKind k);
+const TypeRef &voidType();
+const TypeRef &intType(IntKind k);
+const TypeRef &floatType(FloatKind k);
 TypeRef pointerTo(TypeRef pointee);
 TypeRef arrayOf(TypeRef element, uint64_t n);
 TypeRef functionType(TypeRef ret, std::vector<TypeRef> params,

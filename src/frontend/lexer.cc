@@ -1,118 +1,206 @@
 #include "frontend/lexer.h"
 
-#include <cctype>
-#include <set>
+#include <charconv>
 #include <cstdlib>
+#include <map>
 #include <unordered_map>
 
 namespace cherisem::frontend {
 
 namespace {
 
-const std::unordered_map<std::string, Tok> KEYWORDS = {
-    {"void", Tok::KwVoid},       {"char", Tok::KwChar},
-    {"short", Tok::KwShort},     {"int", Tok::KwInt},
-    {"long", Tok::KwLong},       {"signed", Tok::KwSigned},
-    {"unsigned", Tok::KwUnsigned}, {"float", Tok::KwFloat},
-    {"double", Tok::KwDouble},   {"_Bool", Tok::KwBool},
-    {"bool", Tok::KwBool},       {"struct", Tok::KwStruct},
-    {"union", Tok::KwUnion},     {"enum", Tok::KwEnum},
-    {"typedef", Tok::KwTypedef}, {"const", Tok::KwConst},
-    {"volatile", Tok::KwVolatile}, {"static", Tok::KwStatic},
-    {"extern", Tok::KwExtern},   {"return", Tok::KwReturn},
-    {"if", Tok::KwIf},           {"else", Tok::KwElse},
-    {"while", Tok::KwWhile},     {"do", Tok::KwDo},
-    {"for", Tok::KwFor},         {"break", Tok::KwBreak},
-    {"continue", Tok::KwContinue}, {"sizeof", Tok::KwSizeof},
-    {"_Alignof", Tok::KwAlignof}, {"alignof", Tok::KwAlignof},
-    {"switch", Tok::KwSwitch},   {"case", Tok::KwCase},
-    {"default", Tok::KwDefault},
-};
+// ASCII character classes (the "C" locale's, without the calls).
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isAlpha(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+bool isIdentChar(char c) { return isAlnum(c) || c == '_'; }
+bool isXDigit(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+const std::unordered_map<std::string_view, Tok> &
+keywords()
+{
+    static const std::unordered_map<std::string_view, Tok> table = {
+        {"void", Tok::KwVoid},       {"char", Tok::KwChar},
+        {"short", Tok::KwShort},     {"int", Tok::KwInt},
+        {"long", Tok::KwLong},       {"signed", Tok::KwSigned},
+        {"unsigned", Tok::KwUnsigned}, {"float", Tok::KwFloat},
+        {"double", Tok::KwDouble},   {"_Bool", Tok::KwBool},
+        {"bool", Tok::KwBool},       {"struct", Tok::KwStruct},
+        {"union", Tok::KwUnion},     {"enum", Tok::KwEnum},
+        {"typedef", Tok::KwTypedef}, {"const", Tok::KwConst},
+        {"volatile", Tok::KwVolatile}, {"static", Tok::KwStatic},
+        {"extern", Tok::KwExtern},   {"return", Tok::KwReturn},
+        {"if", Tok::KwIf},           {"else", Tok::KwElse},
+        {"while", Tok::KwWhile},     {"do", Tok::KwDo},
+        {"for", Tok::KwFor},         {"break", Tok::KwBreak},
+        {"continue", Tok::KwContinue}, {"sizeof", Tok::KwSizeof},
+        {"_Alignof", Tok::KwAlignof}, {"alignof", Tok::KwAlignof},
+        {"switch", Tok::KwSwitch},   {"case", Tok::KwCase},
+        {"default", Tok::KwDefault},
+    };
+    return table;
+}
 
 /** Predefined object-like macros (the tests' limits.h / stdint.h /
  *  stddef.h subset). */
-const std::unordered_map<std::string, std::string> PREDEFINED = {
-    {"NULL", "((void*)0)"},
-    {"true", "1"},
-    {"false", "0"},
-    {"CHAR_BIT", "8"},
-    {"SCHAR_MAX", "127"},
-    {"SCHAR_MIN", "(-128)"},
-    {"UCHAR_MAX", "255"},
-    {"SHRT_MAX", "32767"},
-    {"SHRT_MIN", "(-32767-1)"},
-    {"USHRT_MAX", "65535"},
-    {"INT_MAX", "2147483647"},
-    {"INT_MIN", "(-2147483647-1)"},
-    {"UINT_MAX", "4294967295U"},
-    {"LONG_MAX", "9223372036854775807L"},
-    {"LONG_MIN", "(-9223372036854775807L-1)"},
-    {"ULONG_MAX", "18446744073709551615UL"},
-    {"LLONG_MAX", "9223372036854775807L"},
-    {"LLONG_MIN", "(-9223372036854775807L-1)"},
-    {"ULLONG_MAX", "18446744073709551615UL"},
-    {"SIZE_MAX", "18446744073709551615UL"},
-    {"UINTPTR_MAX", "18446744073709551615UL"},
-    {"INTPTR_MAX", "9223372036854775807L"},
-    {"INTPTR_MIN", "(-9223372036854775807L-1)"},
-    {"PTRDIFF_MAX", "9223372036854775807L"},
-    {"EXIT_SUCCESS", "0"},
-    {"EXIT_FAILURE", "1"},
-};
+const std::unordered_map<std::string_view, std::string_view> &
+predefinedMacros()
+{
+    static const std::unordered_map<std::string_view, std::string_view>
+        table = {
+            {"NULL", "((void*)0)"},
+            {"true", "1"},
+            {"false", "0"},
+            {"CHAR_BIT", "8"},
+            {"SCHAR_MAX", "127"},
+            {"SCHAR_MIN", "(-128)"},
+            {"UCHAR_MAX", "255"},
+            {"SHRT_MAX", "32767"},
+            {"SHRT_MIN", "(-32767-1)"},
+            {"USHRT_MAX", "65535"},
+            {"INT_MAX", "2147483647"},
+            {"INT_MIN", "(-2147483647-1)"},
+            {"UINT_MAX", "4294967295U"},
+            {"LONG_MAX", "9223372036854775807L"},
+            {"LONG_MIN", "(-9223372036854775807L-1)"},
+            {"ULONG_MAX", "18446744073709551615UL"},
+            {"LLONG_MAX", "9223372036854775807L"},
+            {"LLONG_MIN", "(-9223372036854775807L-1)"},
+            {"ULLONG_MAX", "18446744073709551615UL"},
+            {"SIZE_MAX", "18446744073709551615UL"},
+            {"UINTPTR_MAX", "18446744073709551615UL"},
+            {"INTPTR_MAX", "9223372036854775807L"},
+            {"INTPTR_MIN", "(-9223372036854775807L-1)"},
+            {"PTRDIFF_MAX", "9223372036854775807L"},
+            {"EXIT_SUCCESS", "0"},
+            {"EXIT_FAILURE", "1"},
+        };
+    return table;
+}
 
 class Lexer
 {
   public:
-    Lexer(const std::string &src, const std::string &file)
-        : src_(src), file_(file)
+    /**
+     * A lexer over @p src.  The lexer of a macro body has @p parent
+     * set and @p expanding naming the macro: it reads its ancestors'
+     * macros and expanding-set through the parent chain instead of
+     * copying them, and a name being expanded further up the chain is
+     * not expanded again (self-reference stays an identifier).
+     */
+    Lexer(std::string_view src, const FileName &file,
+          const Lexer *parent = nullptr, std::string_view expanding = {})
+        : src_(src), file_(file), parent_(parent), expanding_(expanding)
     {
-        for (const auto &[k, v] : PREDEFINED)
-            macros_[k] = v;
     }
 
-    std::vector<Token>
-    run()
+    /** Append the tokens of the source, macros expanded, to @p out.
+     *  The top-level lexer closes the stream with an End token. */
+    void
+    run(std::vector<Token> &out)
     {
-        std::vector<Token> out;
         for (;;) {
-            Token t = next();
-            if (t.kind == Tok::Ident) {
-                auto it = macros_.find(t.text);
-                if (it != macros_.end() &&
-                    expanding_.count(t.text) == 0) {
+            skipWhitespaceAndComments();
+            if (pos_ >= src_.size())
+                break;
+            const uint32_t line = line_;
+            const uint32_t column = col_;
+            char c = peek();
+            if (isAlpha(c) || c == '_') {
+                std::string_view word = scanWord();
+                auto kw = keywords().find(word);
+                if (kw != keywords().end()) {
+                    push(out, kw->second, line, column);
+                    continue;
+                }
+                std::string_view body;
+                if (findMacro(word, &body) && !isExpanding(word)) {
                     // Object-like macro expansion: lex the body and
-                    // splice the tokens in (no recursion guard needed
-                    // beyond self-reference).
-                    expanding_.insert(t.text);
-                    Lexer sub(it->second, file_);
-                    sub.macros_ = macros_;
-                    sub.expanding_ = expanding_;
-                    std::vector<Token> body = sub.run();
-                    expanding_.erase(t.text);
-                    for (Token &bt : body) {
-                        if (bt.kind == Tok::End)
-                            break;
-                        bt.loc = t.loc;
-                        out.push_back(std::move(bt));
+                    // splice its tokens in at the use site.
+                    size_t first = out.size();
+                    Lexer sub(body, file_, this, word);
+                    sub.run(out);
+                    for (size_t i = first; i < out.size(); ++i) {
+                        out[i].line = line;
+                        out[i].column = column;
                     }
                     continue;
                 }
+                push(out, Tok::Ident, line, column).text.assign(word);
+                continue;
             }
-            bool done = t.kind == Tok::End;
-            out.push_back(std::move(t));
-            if (done)
-                return out;
+            Token &t = push(out, Tok::End, line, column);
+            if (isDigit(c) || (c == '.' && isDigit(peek(1))))
+                number(t);
+            else if (c == '"')
+                stringLit(t);
+            else if (c == '\'')
+                charLit(t);
+            else
+                punct(t);
         }
+        if (!parent_)
+            push(out, Tok::End, line_, col_);
     }
 
   private:
-    [[noreturn]] void
-    fail(const std::string &msg)
+    static Token &
+    push(std::vector<Token> &out, Tok kind, uint32_t line,
+         uint32_t column)
     {
-        throw FrontendError{loc(), msg};
+        Token &t = out.emplace_back();
+        t.kind = kind;
+        t.line = line;
+        t.column = column;
+        return t;
     }
 
-    SourceLoc loc() const { return SourceLoc{file_, line_, col_}; }
+    /** Look @p name up: this lexer's and its ancestors' own
+     *  `#define`s first (innermost first), then the predefined table. */
+    bool
+    findMacro(std::string_view name, std::string_view *body) const
+    {
+        for (const Lexer *l = this; l; l = l->parent_) {
+            auto it = l->macros_.find(name);
+            if (it != l->macros_.end()) {
+                *body = it->second;
+                return true;
+            }
+        }
+        auto it = predefinedMacros().find(name);
+        if (it == predefinedMacros().end())
+            return false;
+        *body = it->second;
+        return true;
+    }
+
+    bool
+    isExpanding(std::string_view name) const
+    {
+        for (const Lexer *l = this; l; l = l->parent_) {
+            if (l->expanding_ == name)
+                return true;
+        }
+        return false;
+    }
+
+    [[noreturn]] void
+    fail(const std::string &msg) const
+    {
+        throw FrontendError{SourceLoc{file_, line_, col_}, msg};
+    }
+
+    [[noreturn]] void
+    failAt(const Token &t, const std::string &msg) const
+    {
+        throw FrontendError{SourceLoc{file_, t.line, t.column}, msg};
+    }
 
     char peek(size_t off = 0) const
     {
@@ -140,6 +228,18 @@ class Lexer
             return true;
         }
         return false;
+    }
+
+    /** Identifier characters from the current position (no newline
+     *  inside, so only the column moves). */
+    std::string_view
+    scanWord()
+    {
+        size_t start = pos_;
+        while (pos_ < src_.size() && isIdentChar(src_[pos_]))
+            ++pos_;
+        col_ += static_cast<uint32_t>(pos_ - start);
+        return src_.substr(start, pos_ - start);
     }
 
     void
@@ -173,17 +273,14 @@ class Lexer
     handleDirective()
     {
         advance(); // '#'
-        std::string word;
-        while (std::isalpha(static_cast<unsigned char>(peek())))
-            word += advance();
+        size_t start = pos_;
+        while (isAlpha(peek()))
+            advance();
+        std::string_view word = src_.substr(start, pos_ - start);
         if (word == "define") {
             while (peek() == ' ' || peek() == '\t')
                 advance();
-            std::string name;
-            while (std::isalnum(static_cast<unsigned char>(peek())) ||
-                   peek() == '_') {
-                name += advance();
-            }
+            std::string_view name = scanWord();
             if (peek() == '(') {
                 // Function-like macros are out of scope; skip the
                 // whole line (the builtins cover assert/offsetof).
@@ -201,7 +298,7 @@ class Lexer
                 body += advance();
             }
             if (!name.empty())
-                macros_[name] = body;
+                macros_.insert_or_assign(std::string(name), std::move(body));
         } else {
             // #include and anything else: skip the line.
             while (peek() && peek() != '\n')
@@ -209,85 +306,43 @@ class Lexer
         }
     }
 
-    Token
-    next()
-    {
-        skipWhitespaceAndComments();
-        Token t;
-        t.loc = loc();
-        if (pos_ >= src_.size()) {
-            t.kind = Tok::End;
-            return t;
-        }
-        char c = peek();
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
-            return ident(t);
-        if (std::isdigit(static_cast<unsigned char>(c)) ||
-            (c == '.' &&
-             std::isdigit(static_cast<unsigned char>(peek(1))))) {
-            return number(t);
-        }
-        if (c == '"')
-            return stringLit(t);
-        if (c == '\'')
-            return charLit(t);
-        return punct(t);
-    }
-
-    Token &
-    ident(Token &t)
-    {
-        std::string s;
-        while (std::isalnum(static_cast<unsigned char>(peek())) ||
-               peek() == '_') {
-            s += advance();
-        }
-        auto it = KEYWORDS.find(s);
-        if (it != KEYWORDS.end()) {
-            t.kind = it->second;
-        } else {
-            t.kind = Tok::Ident;
-            t.text = std::move(s);
-        }
-        return t;
-    }
-
-    Token &
+    void
     number(Token &t)
     {
-        std::string s;
+        size_t start = pos_;
         bool is_float = false;
         bool is_hex = false;
         if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
             is_hex = true;
-            s += advance();
-            s += advance();
-            while (std::isxdigit(static_cast<unsigned char>(peek())))
-                s += advance();
+            advance();
+            advance();
+            while (isXDigit(peek()))
+                advance();
         } else {
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                s += advance();
+            while (isDigit(peek()))
+                advance();
             if (peek() == '.') {
                 is_float = true;
-                s += advance();
-                while (std::isdigit(static_cast<unsigned char>(peek())))
-                    s += advance();
+                advance();
+                while (isDigit(peek()))
+                    advance();
             }
             if (peek() == 'e' || peek() == 'E') {
                 is_float = true;
-                s += advance();
+                advance();
                 if (peek() == '+' || peek() == '-')
-                    s += advance();
-                while (std::isdigit(static_cast<unsigned char>(peek())))
-                    s += advance();
+                    advance();
+                while (isDigit(peek()))
+                    advance();
             }
         }
+        std::string_view s = src_.substr(start, pos_ - start);
         if (is_float) {
             t.kind = Tok::FloatLit;
-            t.floatValue = std::strtod(s.c_str(), nullptr);
+            t.floatValue = std::strtod(std::string(s).c_str(), nullptr);
             if (peek() == 'f' || peek() == 'F')
                 advance();
-            return t;
+            return;
         }
         // Suffixes.
         for (;;) {
@@ -305,11 +360,23 @@ class Lexer
             }
         }
         t.kind = Tok::IntLit;
-        t.intValue = std::strtoull(s.c_str(), nullptr, is_hex ? 16 : 10);
-        // Octal.
-        if (!is_hex && s.size() > 1 && s[0] == '0')
-            t.intValue = std::strtoull(s.c_str(), nullptr, 8);
-        return t;
+        int base = 10;
+        if (is_hex) {
+            s.remove_prefix(2);
+            base = 16;
+            if (s.empty())
+                failAt(t, "hexadecimal constant has no digits");
+        } else if (s.size() > 1 && s[0] == '0') {
+            s.remove_prefix(1);
+            base = 8;
+        }
+        auto [end, ec] =
+            std::from_chars(s.data(), s.data() + s.size(), t.intValue, base);
+        if (ec == std::errc::result_out_of_range)
+            failAt(t, "integer constant is too large");
+        if (end != s.data() + s.size())
+            failAt(t, std::string("invalid digit '") + *end +
+                          "' in octal constant");
     }
 
     int
@@ -330,12 +397,10 @@ class Lexer
           case 'v': return '\v';
           case 'x': {
             int v = 0;
-            while (std::isxdigit(static_cast<unsigned char>(peek()))) {
+            while (isXDigit(peek())) {
                 char h = advance();
                 v = v * 16 +
-                    (std::isdigit(static_cast<unsigned char>(h))
-                         ? h - '0'
-                         : (std::tolower(h) - 'a' + 10));
+                    (isDigit(h) ? h - '0' : ((h | 0x20) - 'a' + 10));
             }
             return v;
           }
@@ -344,26 +409,23 @@ class Lexer
         }
     }
 
-    Token &
+    void
     stringLit(Token &t)
     {
         advance(); // '"'
-        std::string s;
         while (peek() && peek() != '"') {
             char c = advance();
             if (c == '\\')
-                s += static_cast<char>(escape());
+                t.text += static_cast<char>(escape());
             else
-                s += c;
+                t.text += c;
         }
         if (!match('"'))
             fail("unterminated string literal");
         t.kind = Tok::StringLit;
-        t.text = std::move(s);
-        return t;
     }
 
-    Token &
+    void
     charLit(Token &t)
     {
         advance(); // '\''
@@ -377,25 +439,24 @@ class Lexer
             fail("unterminated character literal");
         t.kind = Tok::CharLit;
         t.intValue = static_cast<uint64_t>(v);
-        return t;
     }
 
-    Token &
+    void
     punct(Token &t)
     {
         char c = advance();
         switch (c) {
-          case '(': t.kind = Tok::LParen; return t;
-          case ')': t.kind = Tok::RParen; return t;
-          case '{': t.kind = Tok::LBrace; return t;
-          case '}': t.kind = Tok::RBrace; return t;
-          case '[': t.kind = Tok::LBracket; return t;
-          case ']': t.kind = Tok::RBracket; return t;
-          case ';': t.kind = Tok::Semi; return t;
-          case ',': t.kind = Tok::Comma; return t;
-          case '?': t.kind = Tok::Question; return t;
-          case ':': t.kind = Tok::Colon; return t;
-          case '~': t.kind = Tok::Tilde; return t;
+          case '(': t.kind = Tok::LParen; return;
+          case ')': t.kind = Tok::RParen; return;
+          case '{': t.kind = Tok::LBrace; return;
+          case '}': t.kind = Tok::RBrace; return;
+          case '[': t.kind = Tok::LBracket; return;
+          case ']': t.kind = Tok::RBracket; return;
+          case ';': t.kind = Tok::Semi; return;
+          case ',': t.kind = Tok::Comma; return;
+          case '?': t.kind = Tok::Question; return;
+          case ':': t.kind = Tok::Colon; return;
+          case '~': t.kind = Tok::Tilde; return;
           case '.':
             if (peek() == '.' && peek(1) == '.') {
                 advance();
@@ -404,81 +465,94 @@ class Lexer
             } else {
                 t.kind = Tok::Dot;
             }
-            return t;
+            return;
           case '+':
             t.kind = match('+') ? Tok::PlusPlus
                 : match('=')    ? Tok::PlusAssign
                                 : Tok::Plus;
-            return t;
+            return;
           case '-':
             t.kind = match('-') ? Tok::MinusMinus
                 : match('=')    ? Tok::MinusAssign
                 : match('>')    ? Tok::Arrow
                                 : Tok::Minus;
-            return t;
+            return;
           case '*':
             t.kind = match('=') ? Tok::StarAssign : Tok::Star;
-            return t;
+            return;
           case '/':
             t.kind = match('=') ? Tok::SlashAssign : Tok::Slash;
-            return t;
+            return;
           case '%':
             t.kind = match('=') ? Tok::PercentAssign : Tok::Percent;
-            return t;
+            return;
           case '&':
             t.kind = match('&') ? Tok::AmpAmp
                 : match('=')    ? Tok::AmpAssign
                                 : Tok::Amp;
-            return t;
+            return;
           case '|':
             t.kind = match('|') ? Tok::PipePipe
                 : match('=')    ? Tok::PipeAssign
                                 : Tok::Pipe;
-            return t;
+            return;
           case '^':
             t.kind = match('=') ? Tok::CaretAssign : Tok::Caret;
-            return t;
+            return;
           case '!':
             t.kind = match('=') ? Tok::NotEq : Tok::Bang;
-            return t;
+            return;
           case '<':
             if (match('<')) {
                 t.kind = match('=') ? Tok::ShlAssign : Tok::Shl;
             } else {
                 t.kind = match('=') ? Tok::Le : Tok::Lt;
             }
-            return t;
+            return;
           case '>':
             if (match('>')) {
                 t.kind = match('=') ? Tok::ShrAssign : Tok::Shr;
             } else {
                 t.kind = match('=') ? Tok::Ge : Tok::Gt;
             }
-            return t;
+            return;
           case '=':
             t.kind = match('=') ? Tok::EqEq : Tok::Assign;
-            return t;
+            return;
           default:
             fail(std::string("unexpected character '") + c + "'");
         }
     }
 
-    const std::string &src_;
-    std::string file_;
+    std::string_view src_;
+    const FileName &file_;
+    const Lexer *parent_;
+    /** The macro whose body this lexer reads; empty at top level. */
+    std::string_view expanding_;
     size_t pos_ = 0;
     uint32_t line_ = 1;
     uint32_t col_ = 1;
-    std::map<std::string, std::string> macros_;
-    std::set<std::string> expanding_;
+    /** This lexer's own `#define`s; they shadow the predefined ones. */
+    std::map<std::string, std::string, std::less<>> macros_;
 };
 
 } // namespace
 
 std::vector<Token>
-lex(const std::string &source, const std::string &filename)
+lex(std::string_view source, const FileName &file)
 {
-    Lexer lx(source, filename);
-    return lx.run();
+    std::vector<Token> out;
+    // The suite corpus averages about ten source bytes per token; a
+    // quarter of the length also covers dense, comment-free code.
+    out.reserve(source.size() / 4 + 8);
+    Lexer(source, file).run(out);
+    return out;
+}
+
+std::vector<Token>
+lex(std::string_view source, const std::string &filename)
+{
+    return lex(source, makeFileName(filename));
 }
 
 } // namespace cherisem::frontend

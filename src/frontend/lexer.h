@@ -6,16 +6,18 @@
  * skipped (the standard-library subset the test corpus needs is built
  * in), object-like `#define` macros are substituted, and the constants
  * the paper's examples use (UINT_MAX, INT_MAX, NULL, ...) are
- * predefined.
+ * predefined.  A user `#define` shadows a predefined macro of the
+ * same name.
  */
 #ifndef CHERISEM_FRONTEND_LEXER_H
 #define CHERISEM_FRONTEND_LEXER_H
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "frontend/token.h"
+#include "support/source_loc.h"
 
 namespace cherisem::frontend {
 
@@ -29,9 +31,13 @@ struct FrontendError
 };
 
 /**
- * Tokenize @p source.  Throws FrontendError on malformed input.
+ * Tokenize @p source.  Throws FrontendError on malformed input; its
+ * location carries @p file.  The last token is always Tok::End.
  */
-std::vector<Token> lex(const std::string &source,
+std::vector<Token> lex(std::string_view source, const FileName &file);
+
+/** As above, with a fresh handle for @p filename. */
+std::vector<Token> lex(std::string_view source,
                        const std::string &filename);
 
 } // namespace cherisem::frontend

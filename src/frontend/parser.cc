@@ -3,8 +3,9 @@
 #include "ctype/layout.h"
 
 #include <cassert>
-#include <functional>
 #include <map>
+#include <string_view>
+#include <unordered_map>
 
 namespace cherisem::frontend {
 
@@ -13,40 +14,91 @@ using ctype::TypeRef;
 
 namespace {
 
+/** One type derivation of a declarator: `*`, `[n]` or `(params)`. */
+struct Derivation
+{
+    enum class Kind { Pointer, Array, Function };
+
+    explicit Derivation(Kind k) : kind(k) {}
+
+    Kind kind;
+    bool ptrConst = false;          // Pointer
+    uint64_t arraySize = 0;         // Array
+    std::vector<TypeRef> params;    // Function
+    bool variadic = false;          // Function
+
+    TypeRef
+    apply(TypeRef t) const
+    {
+        switch (kind) {
+          case Kind::Pointer: {
+            TypeRef p = ctype::pointerTo(std::move(t));
+            return ptrConst ? ctype::withConst(p, true) : p;
+          }
+          case Kind::Array:
+            return ctype::arrayOf(std::move(t), arraySize);
+          case Kind::Function:
+            return ctype::functionType(std::move(t), params, variadic);
+        }
+        return t;
+    }
+};
+
 /** A parsed declarator: name (may be empty for abstract declarators)
- *  plus a builder composing the declarator's type around a base. */
+ *  plus the derivations composing its type around a base. */
 struct Decltor
 {
     std::string name;
-    std::function<TypeRef(TypeRef)> build = [](TypeRef t) { return t; };
+    /** Outermost first: build() applies them from the back, so
+     *  `int *a[3]` is {Array 3, Pointer} and `int (*p)[3]` is
+     *  {Pointer, Array 3}. */
+    std::vector<Derivation> derivs;
     /** Parameter names of the outermost function suffix attached
      *  directly to the identifier (for function definitions). */
     std::vector<std::string> paramNames;
     SourceLoc loc;
+
+    TypeRef
+    build(TypeRef t) const
+    {
+        for (auto it = derivs.rbegin(); it != derivs.rend(); ++it)
+            t = it->apply(std::move(t));
+        return t;
+    }
 };
+
+/** Builtin typedef names (stdint/stddef subset), immutable. */
+const std::unordered_map<std::string_view, TypeRef> &
+builtinTypedefs()
+{
+    static const std::unordered_map<std::string_view, TypeRef> table = {
+        {"size_t", ctype::intType(IntKind::ULong)},
+        {"ssize_t", ctype::intType(IntKind::Long)},
+        {"ptrdiff_t", ctype::intType(IntKind::Long)},
+        {"ptraddr_t", ctype::intType(IntKind::Ptraddr)},
+        {"vaddr_t", ctype::intType(IntKind::Ptraddr)},
+        {"intptr_t", ctype::intType(IntKind::Intptr)},
+        {"uintptr_t", ctype::intType(IntKind::Uintptr)},
+        {"intmax_t", ctype::intType(IntKind::LongLong)},
+        {"uintmax_t", ctype::intType(IntKind::ULongLong)},
+        {"int8_t", ctype::intType(IntKind::SChar)},
+        {"uint8_t", ctype::intType(IntKind::UChar)},
+        {"int16_t", ctype::intType(IntKind::Short)},
+        {"uint16_t", ctype::intType(IntKind::UShort)},
+        {"int32_t", ctype::intType(IntKind::Int)},
+        {"uint32_t", ctype::intType(IntKind::UInt)},
+        {"int64_t", ctype::intType(IntKind::Long)},
+        {"uint64_t", ctype::intType(IntKind::ULong)},
+    };
+    return table;
+}
 
 class Parser
 {
   public:
-    Parser(std::vector<Token> toks) : toks_(std::move(toks))
+    Parser(std::vector<Token> toks, FileName file)
+        : toks_(std::move(toks)), file_(std::move(file))
     {
-        typedefs_["size_t"] = ctype::intType(IntKind::ULong);
-        typedefs_["ssize_t"] = ctype::intType(IntKind::Long);
-        typedefs_["ptrdiff_t"] = ctype::intType(IntKind::Long);
-        typedefs_["ptraddr_t"] = ctype::intType(IntKind::Ptraddr);
-        typedefs_["vaddr_t"] = ctype::intType(IntKind::Ptraddr);
-        typedefs_["intptr_t"] = ctype::intType(IntKind::Intptr);
-        typedefs_["uintptr_t"] = ctype::intType(IntKind::Uintptr);
-        typedefs_["intmax_t"] = ctype::intType(IntKind::LongLong);
-        typedefs_["uintmax_t"] = ctype::intType(IntKind::ULongLong);
-        typedefs_["int8_t"] = ctype::intType(IntKind::SChar);
-        typedefs_["uint8_t"] = ctype::intType(IntKind::UChar);
-        typedefs_["int16_t"] = ctype::intType(IntKind::Short);
-        typedefs_["uint16_t"] = ctype::intType(IntKind::UShort);
-        typedefs_["int32_t"] = ctype::intType(IntKind::Int);
-        typedefs_["uint32_t"] = ctype::intType(IntKind::UInt);
-        typedefs_["int64_t"] = ctype::intType(IntKind::Long);
-        typedefs_["uint64_t"] = ctype::intType(IntKind::ULong);
     }
 
     TranslationUnit
@@ -68,13 +120,31 @@ class Parser
     }
     bool at(Tok k) const { return cur().kind == k; }
 
-    Token
+    const Token &
     advance()
     {
-        Token t = toks_[pos_];
+        const Token &t = toks_[pos_];
         if (pos_ + 1 < toks_.size())
             ++pos_;
         return t;
+    }
+
+    SourceLoc locOf(const Token &t) const
+    {
+        return SourceLoc{file_, t.line, t.column};
+    }
+
+    /** The type a typedef name denotes: the user's own typedefs first,
+     *  then the builtin table; null when @p name is not one. */
+    const TypeRef *
+    findTypedef(std::string_view name) const
+    {
+        auto user = typedefs_.find(name);
+        if (user != typedefs_.end())
+            return &user->second;
+        auto builtin = builtinTypedefs().find(name);
+        return builtin != builtinTypedefs().end() ? &builtin->second
+                                                  : nullptr;
     }
 
     bool
@@ -87,7 +157,7 @@ class Parser
         return false;
     }
 
-    Token
+    const Token &
     expect(Tok k, const char *what)
     {
         if (!at(k)) {
@@ -100,7 +170,7 @@ class Parser
     [[noreturn]] void
     fail(const std::string &msg) const
     {
-        throw FrontendError{cur().loc, msg};
+        throw FrontendError{locOf(cur()), msg};
     }
 
     // ---- type parsing ----
@@ -117,7 +187,7 @@ class Parser
           case Tok::KwStatic: case Tok::KwExtern: case Tok::KwTypedef:
             return true;
           case Tok::Ident:
-            return typedefs_.count(t.text) > 0;
+            return findTypedef(t.text) != nullptr;
           default:
             return false;
         }
@@ -193,9 +263,9 @@ class Parser
                 base = parseEnum(); saw_base = true;
                 break;
               case Tok::Ident: {
-                auto it = typedefs_.find(cur().text);
-                if (it != typedefs_.end() && !saw_base && !base) {
-                    base = it->second;
+                const TypeRef *td = findTypedef(cur().text);
+                if (td && !saw_base && !base) {
+                    base = *td;
                     saw_base = true;
                     advance();
                     break;
@@ -276,8 +346,9 @@ class Parser
                     // Constant expressions: integer literals with an
                     // optional sign (the corpus needs no more).
                     bool neg = accept(Tok::Minus);
-                    Token v = expect(Tok::IntLit, "enumerator value");
-                    next = static_cast<long long>(v.intValue);
+                    uint64_t v =
+                        expect(Tok::IntLit, "enumerator value").intValue;
+                    next = static_cast<long long>(v);
                     if (neg)
                         next = -next;
                 }
@@ -301,13 +372,9 @@ class Parser
                 advance();
             }
             Decltor inner = parseDeclarator(abstract_ok);
-            auto inner_build = inner.build;
-            inner.build = [inner_build, ptr_const](TypeRef t) {
-                TypeRef p = ctype::pointerTo(t);
-                if (ptr_const)
-                    p = ctype::withConst(p, true);
-                return inner_build(p);
-            };
+            Derivation ptr(Derivation::Kind::Pointer);
+            ptr.ptrConst = ptr_const;
+            inner.derivs.push_back(std::move(ptr));
             return inner;
         }
         return parseDirectDeclarator(abstract_ok);
@@ -317,15 +384,15 @@ class Parser
     parseDirectDeclarator(bool abstract_ok)
     {
         Decltor d;
-        d.loc = cur().loc;
+        d.loc = locOf(cur());
         bool is_ident_core = false;
-        if (at(Tok::Ident) && typedefs_.count(cur().text) == 0) {
+        if (at(Tok::Ident) && !findTypedef(cur().text)) {
             d.name = advance().text;
             is_ident_core = true;
         } else if (at(Tok::LParen) &&
                    (peekTok().kind == Tok::Star ||
                     (peekTok().kind == Tok::Ident &&
-                     typedefs_.count(peekTok().text) == 0))) {
+                     !findTypedef(peekTok().text)))) {
             advance();
             d = parseDeclarator(abstract_ok);
             expect(Tok::RParen, "after nested declarator");
@@ -333,21 +400,17 @@ class Parser
             fail("expected declarator name");
         }
 
-        // Postfix suffixes, applied innermost-first.
-        std::vector<std::function<TypeRef(TypeRef)>> suffixes;
+        // Postfix suffixes wrap the base before the nested
+        // declarator's derivations (int (*p)[3]), in source order.
         for (;;) {
             if (accept(Tok::LBracket)) {
                 uint64_t n = 0;
-                bool sized = false;
-                if (!at(Tok::RBracket)) {
+                if (!at(Tok::RBracket))
                     n = parseConstArraySize();
-                    sized = true;
-                }
                 expect(Tok::RBracket, "after array size");
-                (void)sized;
-                suffixes.push_back([n](TypeRef t) {
-                    return ctype::arrayOf(t, n);
-                });
+                Derivation arr(Derivation::Kind::Array);
+                arr.arraySize = n;
+                d.derivs.push_back(std::move(arr));
             } else if (at(Tok::LParen)) {
                 advance();
                 std::vector<TypeRef> params;
@@ -379,26 +442,13 @@ class Parser
                 expect(Tok::RParen, "after parameter list");
                 if (is_ident_core && d.paramNames.empty())
                     d.paramNames = names;
-                suffixes.push_back(
-                    [params = std::move(params), variadic](TypeRef t) {
-                        return ctype::functionType(t, params, variadic);
-                    });
+                Derivation fn(Derivation::Kind::Function);
+                fn.params = std::move(params);
+                fn.variadic = variadic;
+                d.derivs.push_back(std::move(fn));
             } else {
                 break;
             }
-        }
-        if (!suffixes.empty()) {
-            auto inner_build = d.build;
-            d.build = [inner_build,
-                       suffixes = std::move(suffixes)](TypeRef t) {
-                // int (*p)[3]: suffixes seen left-to-right wrap the
-                // base right-to-left.
-                for (auto it = suffixes.rbegin(); it != suffixes.rend();
-                     ++it) {
-                    t = (*it)(t);
-                }
-                return inner_build(t);
-            };
         }
         return d;
     }
@@ -408,40 +458,43 @@ class Parser
     {
         // Array sizes in the corpus are integer literals or trivial
         // products/sums of them, or sizeof(type).
-        std::function<uint64_t()> primary = [&]() -> uint64_t {
-            if (at(Tok::IntLit))
-                return advance().intValue;
-            if (at(Tok::KwSizeof)) {
-                advance();
-                expect(Tok::LParen, "after sizeof");
-                TypeRef t = parseTypeName();
-                expect(Tok::RParen, "after sizeof type");
-                // Layout needs the machine; use the Morello layout (a
-                // constant array size cannot depend on the profile in
-                // the corpus).
-                ctype::LayoutEngine le(ctype::MachineLayout{16, 8},
-                                       &unit_.tags);
-                return le.sizeOf(t);
-            }
-            if (accept(Tok::LParen)) {
-                uint64_t v = parseConstArraySize();
-                expect(Tok::RParen, "in constant expression");
-                return v;
-            }
-            fail("expected constant array size");
-        };
-        uint64_t v = primary();
+        uint64_t v = parseConstPrimary();
         for (;;) {
             if (accept(Tok::Star))
-                v *= primary();
+                v *= parseConstPrimary();
             else if (accept(Tok::Plus))
-                v += primary();
+                v += parseConstPrimary();
             else if (accept(Tok::Minus))
-                v -= primary();
+                v -= parseConstPrimary();
             else
                 break;
         }
         return v;
+    }
+
+    uint64_t
+    parseConstPrimary()
+    {
+        if (at(Tok::IntLit))
+            return advance().intValue;
+        if (at(Tok::KwSizeof)) {
+            advance();
+            expect(Tok::LParen, "after sizeof");
+            TypeRef t = parseTypeName();
+            expect(Tok::RParen, "after sizeof type");
+            // Layout needs the machine; use the Morello layout (a
+            // constant array size cannot depend on the profile in
+            // the corpus).
+            ctype::LayoutEngine le(ctype::MachineLayout{16, 8},
+                                   &unit_.tags);
+            return le.sizeOf(t);
+        }
+        if (accept(Tok::LParen)) {
+            uint64_t v = parseConstArraySize();
+            expect(Tok::RParen, "in constant expression");
+            return v;
+        }
+        fail("expected constant array size");
     }
 
     TypeRef
@@ -461,7 +514,7 @@ class Parser
     {
         ExprPtr e = parseAssign();
         while (at(Tok::Comma)) {
-            SourceLoc loc = advance().loc;
+            SourceLoc loc = locOf(advance());
             ExprPtr rhs = parseAssign();
             ExprPtr n = Expr::make(Expr::Kind::Binary, loc);
             n->binop = BinOp::Comma;
@@ -492,7 +545,7 @@ class Parser
           default:
             return lhs;
         }
-        SourceLoc loc = advance().loc;
+        SourceLoc loc = locOf(advance());
         ExprPtr rhs = parseAssign();
         ExprPtr n = Expr::make(Expr::Kind::Assign, loc);
         n->binop = op;
@@ -507,7 +560,7 @@ class Parser
         ExprPtr c = parseBinary(0);
         if (!at(Tok::Question))
             return c;
-        SourceLoc loc = advance().loc;
+        SourceLoc loc = locOf(advance());
         ExprPtr t = parseExpr();
         expect(Tok::Colon, "in conditional expression");
         ExprPtr f = parseConditional();
@@ -576,7 +629,7 @@ class Parser
             if (prec < 0 || prec < min_prec)
                 return lhs;
             Tok op = cur().kind;
-            SourceLoc loc = advance().loc;
+            SourceLoc loc = locOf(advance());
             ExprPtr rhs = parseBinary(prec + 1);
             ExprPtr n = Expr::make(Expr::Kind::Binary, loc);
             n->binop = tokToBinOp(op);
@@ -589,7 +642,7 @@ class Parser
     ExprPtr
     parseUnary()
     {
-        SourceLoc loc = cur().loc;
+        SourceLoc loc = locOf(cur());
         switch (cur().kind) {
           case Tok::Plus: case Tok::Minus: case Tok::Bang:
           case Tok::Tilde: case Tok::Star: case Tok::Amp: {
@@ -657,7 +710,7 @@ class Parser
     {
         ExprPtr e = parsePrimary();
         for (;;) {
-            SourceLoc loc = cur().loc;
+            SourceLoc loc = locOf(cur());
             if (accept(Tok::LBracket)) {
                 ExprPtr idx = parseExpr();
                 expect(Tok::RBracket, "after index");
@@ -700,10 +753,10 @@ class Parser
     ExprPtr
     parsePrimary()
     {
-        SourceLoc loc = cur().loc;
+        SourceLoc loc = locOf(cur());
         switch (cur().kind) {
           case Tok::IntLit: {
-            Token t = advance();
+            const Token &t = advance();
             ExprPtr e = Expr::make(Expr::Kind::IntLit, loc);
             e->intValue = t.intValue;
             e->litUnsigned = t.litUnsigned;
@@ -711,19 +764,19 @@ class Parser
             return e;
           }
           case Tok::CharLit: {
-            Token t = advance();
+            const Token &t = advance();
             ExprPtr e = Expr::make(Expr::Kind::IntLit, loc);
             e->intValue = t.intValue;
             return e;
           }
           case Tok::FloatLit: {
-            Token t = advance();
+            const Token &t = advance();
             ExprPtr e = Expr::make(Expr::Kind::FloatLit, loc);
             e->floatValue = t.floatValue;
             return e;
           }
           case Tok::StringLit: {
-            Token t = advance();
+            const Token &t = advance();
             ExprPtr e = Expr::make(Expr::Kind::StringLit, loc);
             e->text = t.text;
             // Adjacent string literals concatenate.
@@ -732,7 +785,7 @@ class Parser
             return e;
           }
           case Tok::Ident: {
-            Token t = advance();
+            const Token &t = advance();
             if (t.text == "offsetof" && at(Tok::LParen)) {
                 advance();
                 ExprPtr e = Expr::make(Expr::Kind::OffsetOf, loc);
@@ -764,7 +817,7 @@ class Parser
     parseInitializer()
     {
         Initializer init;
-        init.loc = cur().loc;
+        init.loc = locOf(cur());
         if (accept(Tok::LBrace)) {
             init.isList = true;
             if (!at(Tok::RBrace)) {
@@ -810,7 +863,7 @@ class Parser
     StmtPtr
     parseStmt()
     {
-        SourceLoc loc = cur().loc;
+        SourceLoc loc = locOf(cur());
         switch (cur().kind) {
           case Tok::LBrace:
             return parseBlock();
@@ -938,7 +991,7 @@ class Parser
     StmtPtr
     parseBlock()
     {
-        SourceLoc loc = cur().loc;
+        SourceLoc loc = locOf(cur());
         expect(Tok::LBrace, "block");
         StmtPtr s = Stmt::make(Stmt::Kind::Block, loc);
         while (!accept(Tok::RBrace))
@@ -1026,10 +1079,12 @@ class Parser
         expect(Tok::Semi, "after global declaration");
     }
 
-    std::vector<Token> toks_;
+    const std::vector<Token> toks_;
+    const FileName file_;
     size_t pos_ = 0;
     TranslationUnit unit_;
-    std::map<std::string, TypeRef> typedefs_;
+    /** The user's own typedefs; they shadow the builtin ones. */
+    std::map<std::string, TypeRef, std::less<>> typedefs_;
 };
 
 } // namespace
@@ -1037,7 +1092,8 @@ class Parser
 TranslationUnit
 parse(const std::string &source, const std::string &filename)
 {
-    Parser p(lex(source, filename));
+    FileName file = makeFileName(filename);
+    Parser p(lex(source, file), file);
     return p.run();
 }
 

@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "support/source_loc.h"
-
 namespace cherisem::frontend {
 
 enum class Tok
@@ -42,11 +40,19 @@ enum class Tok
     ShrAssign,
 };
 
+/**
+ * One token.  It carries only its line and column: the file name is a
+ * per-parse handle the parser attaches when it builds a SourceLoc, so
+ * a token costs no allocation unless it is an identifier or a string
+ * literal.
+ */
 struct Token
 {
     Tok kind = Tok::End;
-    SourceLoc loc;
-    /** Identifier / string-literal spelling. */
+    /** 1-based position of the token's first character. */
+    uint32_t line = 0;
+    uint32_t column = 0;
+    /** Identifier / string-literal spelling; empty otherwise. */
     std::string text;
     /** Integer / char literal value. */
     uint64_t intValue = 0;

@@ -2,10 +2,12 @@
  * @file
  * Unit tests for the MiniC lexer and parser: token classes, the
  * mini-preprocessor, declarator composition (function pointers,
- * arrays of pointers), and statement/expression structure.
+ * arrays of pointers), statement/expression structure, source
+ * locations and the integer-literal diagnostics.
  */
 #include <gtest/gtest.h>
 
+#include "driver/interpreter.h"
 #include "frontend/parser.h"
 
 namespace cherisem::frontend {
@@ -284,6 +286,165 @@ TEST(Parser, PrototypesAndVariadic)
     EXPECT_TRUE(tu.functions[0].type->variadic);
     EXPECT_EQ(tu.functions[0].body, nullptr);
     EXPECT_EQ(tu.functions[1].type->params.size(), 0u);
+}
+
+/** The message of the FrontendError @p source raises, or "" if none. */
+std::string
+frontendErrorOf(const std::string &source)
+{
+    try {
+        parse(source, "t.c");
+    } catch (const FrontendError &e) {
+        return e.str();
+    }
+    return "";
+}
+
+TEST(SourceLocation, RendersFileLineColumn)
+{
+    SourceLoc named{makeFileName("dir/some_long_file_name.c"), 3, 7};
+    EXPECT_EQ(named.str(), "dir/some_long_file_name.c:3:7");
+    SourceLoc unnamed{makeFileName(""), 3, 7};
+    EXPECT_EQ(unnamed.str(), "<input>:3:7");
+    SourceLoc null_file{nullptr, 3, 7};
+    EXPECT_EQ(null_file.str(), "<input>:3:7");
+    SourceLoc unknown{makeFileName("f.c"), 0, 0};
+    EXPECT_EQ(unknown.str(), "<unknown>");
+    EXPECT_EQ(SourceLoc{}.str(), "<unknown>");
+}
+
+TEST(SourceLocation, EqualityComparesNamesNotHandles)
+{
+    // Two parses of the same file make two handles; their locations
+    // still compare equal.
+    TranslationUnit a = parse("int g;", "same_file_name_over_15.c");
+    TranslationUnit b = parse("int g;", "same_file_name_over_15.c");
+    const SourceLoc &la = a.globals[0].loc;
+    const SourceLoc &lb = b.globals[0].loc;
+    EXPECT_NE(la.file, lb.file);
+    EXPECT_EQ(la, lb);
+    EXPECT_EQ(la.str(), "same_file_name_over_15.c:1:5");
+
+    SourceLoc other_line = la;
+    other_line.line = 2;
+    EXPECT_FALSE(la == other_line);
+    SourceLoc other_file{makeFileName("other.c"), la.line, la.column};
+    EXPECT_FALSE(la == other_file);
+    EXPECT_EQ((SourceLoc{nullptr, 1, 1}), (SourceLoc{makeFileName(""), 1, 1}));
+}
+
+TEST(SourceLocation, OneHandlePerParse)
+{
+    TranslationUnit tu = parse("int g;\nint main(void) { return g; }",
+                               "shared.c");
+    const SourceLoc &global = tu.globals[0].loc;
+    const SourceLoc &ret = tu.functions[0].body->body[0]->loc;
+    EXPECT_EQ(global.file.get(), ret.file.get());
+    EXPECT_EQ(ret.str(), "shared.c:2:18");
+}
+
+TEST(Lexer, UserDefineOverridesPredefined)
+{
+    auto toks = lex("#define NULL 0\nNULL", "t");
+    ASSERT_EQ(toks.size(), 2u);
+    EXPECT_EQ(toks[0].kind, Tok::IntLit);
+    EXPECT_EQ(toks[0].intValue, 0u);
+    EXPECT_EQ(toks[1].kind, Tok::End);
+
+    // Without the override NULL is ((void*)0).
+    EXPECT_EQ(lex("NULL", "t")[0].kind, Tok::LParen);
+}
+
+TEST(Lexer, PredefinedMacroInsideUserMacro)
+{
+    auto toks = lex("#define BIG (INT_MAX - 1)\nBIG", "t");
+    ASSERT_EQ(toks.size(), 6u);
+    EXPECT_EQ(toks[0].kind, Tok::LParen);
+    EXPECT_EQ(toks[1].kind, Tok::IntLit);
+    EXPECT_EQ(toks[1].intValue, 2147483647u);
+    EXPECT_EQ(toks[2].kind, Tok::Minus);
+    EXPECT_EQ(toks[3].intValue, 1u);
+    EXPECT_EQ(toks[4].kind, Tok::RParen);
+}
+
+TEST(Lexer, MutuallyRecursiveMacrosStop)
+{
+    // B -> A -> B: the inner B is being expanded already, so it stays
+    // an identifier.
+    auto toks = lex("#define A B\n#define B A\nB", "t");
+    ASSERT_EQ(toks.size(), 2u);
+    EXPECT_EQ(toks[0].kind, Tok::Ident);
+    EXPECT_EQ(toks[0].text, "B");
+
+    driver::RunResult rr = driver::runSource(
+        "#define A B\n#define B A\nint main(void){ return B; }",
+        driver::referenceProfile(), "t.c");
+    EXPECT_EQ(rr.summary(),
+              "frontend-error t.c:3:24: use of undeclared identifier 'B'");
+}
+
+TEST(Lexer, ExpandedTokensCarryUseSite)
+{
+    auto toks = lex("#define PAIR (1 + INT_MAX)\nint x =\n    PAIR;", "t");
+    // int x = ( 1 + 2147483647 ) ;
+    ASSERT_EQ(toks.size(), 10u);
+    for (size_t i = 3; i < 8; ++i) {
+        EXPECT_EQ(toks[i].line, 3u) << i;
+        EXPECT_EQ(toks[i].column, 5u) << i;
+    }
+    EXPECT_EQ(toks[8].kind, Tok::Semi);
+    EXPECT_EQ(toks[8].line, 3u);
+    EXPECT_EQ(toks[8].column, 9u);
+}
+
+TEST(Lexer, IntegerLiteralErrors)
+{
+    EXPECT_EQ(frontendErrorOf("int main(void) { return 09; }"),
+              "t.c:1:25: invalid digit '9' in octal constant");
+    EXPECT_EQ(frontendErrorOf("int main(void) { return 0x; }"),
+              "t.c:1:25: hexadecimal constant has no digits");
+    EXPECT_EQ(frontendErrorOf(
+                  "int main(void) { return 99999999999999999999999; }"),
+              "t.c:1:25: integer constant is too large");
+    EXPECT_EQ(frontendErrorOf(
+                  "int main(void) { return 0x10000000000000000; }"),
+              "t.c:1:25: integer constant is too large");
+
+    driver::RunResult rr = driver::runSource(
+        "int main(void) { return 09; }", driver::referenceProfile(),
+        "t.c");
+    EXPECT_TRUE(rr.frontendError);
+
+    // The limits still lex.
+    auto toks = lex("18446744073709551615UL 0xffffffffffffffff 0777 0",
+                    "t");
+    EXPECT_EQ(toks[0].intValue, UINT64_MAX);
+    EXPECT_EQ(toks[1].intValue, UINT64_MAX);
+    EXPECT_EQ(toks[2].intValue, 0777u);
+    EXPECT_EQ(toks[3].intValue, 0u);
+}
+
+TEST(Parser, UserTypedefsResolveBesideBuiltins)
+{
+    TranslationUnit tu = parse(R"(
+typedef unsigned char byte_t;
+typedef byte_t octet_t;
+byte_t a;
+octet_t b;
+uint8_t c;
+size_t d;
+)",
+                               "t");
+    ASSERT_EQ(tu.globals.size(), 4u);
+    EXPECT_EQ(tu.globals[0].type->intKind, IntKind::UChar);
+    EXPECT_EQ(tu.globals[1].type->intKind, IntKind::UChar);
+    EXPECT_EQ(tu.globals[2].type->intKind, IntKind::UChar);
+    EXPECT_EQ(tu.globals[3].type->intKind, IntKind::ULong);
+
+    // A builtin typedef name is not a declarator name, so a user
+    // typedef cannot redeclare it.
+    EXPECT_EQ(frontendErrorOf("typedef char size_t;"),
+              "t.c:1:14: expected declarator name");
 }
 
 } // namespace
