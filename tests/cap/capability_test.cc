@@ -13,6 +13,15 @@
 #include "cap/cc128.h"
 
 namespace cherisem::cap {
+
+// Print a parameter as its architecture name, not its address, so the
+// listed test names are the same on every run.
+static void
+PrintTo(const CapArch *arch, std::ostream *os)
+{
+    *os << arch->name();
+}
+
 namespace {
 
 class CapabilityTest : public ::testing::TestWithParam<const CapArch *>

@@ -29,6 +29,18 @@
 #include "mem/memory_model.h"
 #include "obs/sinks.h"
 
+namespace cherisem::cap {
+
+// Print a parameter as its architecture name, not its address, so the
+// listed test names are the same on every run.
+static void
+PrintTo(const CapArch *arch, std::ostream *os)
+{
+    *os << arch->name();
+}
+
+} // namespace cherisem::cap
+
 namespace cherisem::mem {
 namespace {
 
