@@ -7,29 +7,19 @@
  * Like micro_memory, a fixed harness runs first and writes
  * BENCH_interp.json (same format: a "results" array of ns_per_op
  * entries plus summary ratios) — here the grid is workload x
- * profile, and the summaries are the witness-tracing overhead ratio
+ * profile, and the summary is the witness-tracing overhead ratio
  * (traced-into-a-ring vs untraced), which the obs/ subsystem promises
- * stays under 5% when disabled, and the bytecode-vs-tree evaluation
- * speedup (compile once, evaluate many: the fair engine comparison,
- * since the bytecode compiler runs once per program while the tree
- * walker re-dispatches on the AST every step).  Pass --no-json to
- * skip it.
+ * stays under 5% when disabled.  Pass --no-json to skip it.
  */
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "corelang/bytecode.h"
-#include "corelang/machine.h"
-#include "corelang/vm.h"
 #include "driver/interpreter.h"
-#include "frontend/parser.h"
 #include "obs/sinks.h"
-#include "sema/sema.h"
 
 namespace {
 
@@ -124,67 +114,6 @@ struct Workload
     const char *src;
 };
 
-// ---------------------------------------------------------------------
-// Engine comparison: evaluation-only, compile once / run many.
-// ---------------------------------------------------------------------
-
-namespace corelang = cherisem::corelang;
-
-/** Parse + analyse + optimise @p src once under @p profile. */
-cherisem::sema::Program
-analyzeOnce(const char *src, const Profile &profile)
-{
-    cherisem::frontend::TranslationUnit unit =
-        cherisem::frontend::parse(src, "<bench>");
-    cherisem::ctype::MachineLayout machine{
-        profile.memConfig.arch->capSize(),
-        profile.memConfig.arch->addrBits() / 8};
-    cherisem::sema::Program prog =
-        cherisem::sema::analyze(std::move(unit), machine);
-    corelang::optimize(prog, profile.optims);
-    return prog;
-}
-
-/** Minimum evaluation-only ns over repeated runs of one engine
- *  (minimum, not mean: the noise floor on a shared machine is
- *  one-sided).  @p module selects the bytecode VM; null runs the
- *  tree walker. */
-double
-evalOnlyNs(const cherisem::sema::Program &prog,
-           const corelang::EvalOptions &opts,
-           const corelang::BytecodeModule *module,
-           int max_iters = 200)
-{
-    using clock = std::chrono::steady_clock;
-    auto once = [&] {
-        corelang::Outcome o;
-        if (module) {
-            corelang::Vm vm(prog, opts, module);
-            o = vm.run();
-        } else {
-            corelang::Machine machine(prog, opts);
-            o = machine.run();
-        }
-        benchmark::DoNotOptimize(o.exitCode);
-    };
-    once(); // warm-up
-    double best = 1e18, total = 0;
-    int iters = 0;
-    while (iters < max_iters && total < 3e8) {
-        auto t0 = clock::now();
-        once();
-        auto t1 = clock::now();
-        double ns = static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 -
-                                                                 t0)
-                .count());
-        best = ns < best ? ns : best;
-        total += ns;
-        ++iters;
-    }
-    return best;
-}
-
 /** One op = one whole runSource() (parse..evaluate). */
 double
 timeRun(const char *src, const Profile &profile,
@@ -214,15 +143,8 @@ writeBenchJson(const char *path)
         std::string workload, profile;
         double nsPerRun;
     };
-    struct EngineEntry
-    {
-        std::string workload;
-        double treeNs, bytecodeNs;
-    };
     std::vector<Entry> entries;
-    std::vector<EngineEntry> engineEntries;
     double untraced_total = 0, traced_total = 0;
-    double tree_total = 0, bytecode_total = 0;
 
     for (const Workload &w : workloads) {
         for (const char *name : profiles) {
@@ -235,24 +157,10 @@ writeBenchJson(const char *path)
         untraced_total += timeRun(w.src, ref);
         cherisem::obs::RingBufferSink ring;
         traced_total += timeRun(w.src, ref, &ring);
-
-        // Engine comparison, evaluation-only: one frontend pass and
-        // one bytecode compile, then repeated evaluations.
-        cherisem::sema::Program prog = analyzeOnce(w.src, ref);
-        corelang::EvalOptions opts = ref.evalOptions();
-        corelang::BytecodeModule module =
-            corelang::compileProgram(prog);
-        double tree_ns = evalOnlyNs(prog, opts, nullptr);
-        double bytecode_ns = evalOnlyNs(prog, opts, &module);
-        engineEntries.push_back({w.name, tree_ns, bytecode_ns});
-        tree_total += tree_ns;
-        bytecode_total += bytecode_ns;
     }
 
     double ratio =
         untraced_total > 0 ? traced_total / untraced_total : 0;
-    double engine_speedup =
-        bytecode_total > 0 ? tree_total / bytecode_total : 0;
 
     FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -268,26 +176,15 @@ writeBenchJson(const char *path)
                      e.workload.c_str(), e.profile.c_str(), e.nsPerRun,
                      i + 1 < entries.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"engine_results\": [\n");
-    for (size_t i = 0; i < engineEntries.size(); ++i) {
-        const EngineEntry &e = engineEntries[i];
-        std::fprintf(
-            f,
-            "    {\"workload\": \"%s\", \"eval_ns_tree\": %.1f, "
-            "\"eval_ns_bytecode\": %.1f, \"speedup\": %.2f}%s\n",
-            e.workload.c_str(), e.treeNs, e.bytecodeNs,
-            e.bytecodeNs > 0 ? e.treeNs / e.bytecodeNs : 0,
-            i + 1 < engineEntries.size() ? "," : "");
-    }
     std::fprintf(f,
                  "  ],\n  \"tracing_overhead_ratio_ring_vs_off\": "
-                 "%.3f,\n  \"bytecode_speedup_vs_tree\": %.2f\n}\n",
-                 ratio, engine_speedup);
+                 "%.3f\n}\n",
+                 ratio);
     std::fclose(f);
     std::fprintf(stderr,
                  "BENCH_interp.json written: ring-traced vs untraced "
-                 "= %.3fx, bytecode vs tree = %.2fx\n",
-                 ratio, engine_speedup);
+                 "= %.3fx\n",
+                 ratio);
 }
 
 // ---------------------------------------------------------------------
@@ -296,11 +193,9 @@ writeBenchJson(const char *path)
 
 void
 runBench(benchmark::State &state, const char *src,
-         const std::string &profile,
-         corelang::Engine engine = corelang::Engine::Tree)
+         const std::string &profile)
 {
-    Profile p = *findProfile(profile);
-    p.engine = engine;
+    const Profile &p = *findProfile(profile);
     for (auto _ : state) {
         RunResult r = runSource(src, p);
         if (r.frontendError ||
@@ -325,22 +220,6 @@ BM_Interp_ArithLoop_Hardware(benchmark::State &state)
     runBench(state, ARITH_LOOP, "clang-morello-O0");
 }
 BENCHMARK(BM_Interp_ArithLoop_Hardware);
-
-void
-BM_Interp_ArithLoop_Bytecode(benchmark::State &state)
-{
-    runBench(state, ARITH_LOOP, "cerberus",
-             corelang::Engine::Bytecode);
-}
-BENCHMARK(BM_Interp_ArithLoop_Bytecode);
-
-void
-BM_Interp_PointerChase_Bytecode(benchmark::State &state)
-{
-    runBench(state, POINTER_CHASE, "cerberus",
-             corelang::Engine::Bytecode);
-}
-BENCHMARK(BM_Interp_PointerChase_Bytecode);
 
 void
 BM_Interp_PointerChase_Reference(benchmark::State &state)

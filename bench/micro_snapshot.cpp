@@ -27,10 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "corelang/bytecode.h"
 #include "corelang/machine.h"
 #include "corelang/optimize.h"
-#include "corelang/vm.h"
 #include "driver/profiles.h"
 #include "frontend/parser.h"
 #include "fuzz/fork_runner.h"
@@ -71,37 +69,19 @@ nowNs()
             .count());
 }
 
-struct Compiled
-{
-    sema::Program prog;
-    corelang::BytecodeModule module;
-};
-
-Compiled
+sema::Program
 compile(const std::string &src, const driver::Profile &p)
 {
-    Compiled c;
     frontend::TranslationUnit unit = frontend::parse(src, "<bench>");
     ctype::MachineLayout machine{p.memConfig.arch->capSize(),
                                  p.memConfig.arch->addrBits() / 8};
-    c.prog = sema::analyze(std::move(unit), machine);
-    corelang::optimize(c.prog, p.optims);
-    c.module = corelang::compileProgram(c.prog);
-    return c;
-}
-
-std::unique_ptr<corelang::Machine>
-makeEngine(const Compiled &c, const corelang::EvalOptions &opts)
-{
-    if (opts.engine == corelang::Engine::Bytecode)
-        return std::make_unique<corelang::Vm>(c.prog, opts,
-                                              &c.module);
-    return std::make_unique<corelang::Machine>(c.prog, opts);
+    sema::Program prog = sema::analyze(std::move(unit), machine);
+    corelang::optimize(prog, p.optims);
+    return prog;
 }
 
 struct WarmRow
 {
-    const char *engine;
     uint64_t preludeSteps;
     uint64_t mainSteps;
     double coldNs;
@@ -112,21 +92,18 @@ struct WarmRow
 /** Cold (prelude + main every time) vs warm (restore + main) on the
  *  same compiled program; both sides report the mean over reps. */
 WarmRow
-warmRestoreRun(const Compiled &c, corelang::Engine engine)
+warmRestoreRun(const sema::Program &prog)
 {
     const driver::Profile &p = driver::referenceProfile();
     corelang::EvalOptions opts = p.evalOptions();
-    opts.engine = engine;
 
     // Build once: the snapshot every warm iteration restores.
-    auto builder = makeEngine(c, opts);
-    std::optional<corelang::Outcome> pre = builder->runPrelude();
-    corelang::Machine::SnapshotPtr snap = builder->capture();
+    corelang::Machine builder(prog, opts);
+    std::optional<corelang::Outcome> pre = builder.runPrelude();
+    corelang::Machine::SnapshotPtr snap = builder.capture();
     (void)pre;
 
     WarmRow row;
-    row.engine = engine == corelang::Engine::Bytecode ? "bytecode"
-                                                      : "tree";
     row.preludeSteps = snap->steps;
 
     constexpr int kColdReps = 5;
@@ -135,9 +112,9 @@ warmRestoreRun(const Compiled &c, corelang::Engine engine)
     uint64_t t0 = nowNs();
     uint64_t mainSteps = 0;
     for (int i = 0; i < kColdReps; ++i) {
-        auto m = makeEngine(c, opts);
-        (void)m->runPrelude();
-        corelang::Outcome out = m->runMain();
+        corelang::Machine m(prog, opts);
+        (void)m.runPrelude();
+        corelang::Outcome out = m.runMain();
         mainSteps = out.steps - row.preludeSteps;
         benchmark::DoNotOptimize(out.exitCode);
     }
@@ -146,9 +123,9 @@ warmRestoreRun(const Compiled &c, corelang::Engine engine)
 
     t0 = nowNs();
     for (int i = 0; i < kWarmReps; ++i) {
-        auto m = makeEngine(c, opts);
-        m->restoreSnapshot(snap);
-        corelang::Outcome out = m->runMain();
+        corelang::Machine m(prog, opts);
+        m.restoreSnapshot(snap);
+        corelang::Outcome out = m.runMain();
         benchmark::DoNotOptimize(out.exitCode);
     }
     row.warmNs = static_cast<double>(nowNs() - t0) / kWarmReps;
@@ -212,9 +189,7 @@ void
 writeBenchJson(const char *path)
 {
     const driver::Profile &p = driver::referenceProfile();
-    Compiled warm = compile(kWarmProgram, p);
-    WarmRow tree = warmRestoreRun(warm, corelang::Engine::Tree);
-    WarmRow bc = warmRestoreRun(warm, corelang::Engine::Bytecode);
+    WarmRow warm = warmRestoreRun(compile(kWarmProgram, p));
     fuzz::ForkStats fork = forkRun();
     double forkSpeedup = fork.forkNs
         ? static_cast<double>(fork.coldNs) /
@@ -257,20 +232,15 @@ writeBenchJson(const char *path)
         return;
     }
     std::fprintf(f, "{\n  \"warm_restore\": [\n");
-    const WarmRow *rows[] = {&tree, &bc};
-    for (size_t i = 0; i < 2; ++i) {
-        const WarmRow &r = *rows[i];
-        std::fprintf(
-            f,
-            "    {\"engine\": \"%s\", \"prelude_bytes\": %llu, "
-            "\"prelude_steps\": %llu, \"main_steps\": %llu, "
-            "\"cold_ns\": %.0f, \"warm_ns\": %.0f, "
-            "\"speedup\": %.2f}%s\n",
-            r.engine, (unsigned long long)kWarmFootprintBytes,
-            (unsigned long long)r.preludeSteps,
-            (unsigned long long)r.mainSteps, r.coldNs, r.warmNs,
-            r.speedup, i == 0 ? "," : "");
-    }
+    std::fprintf(f,
+                 "    {\"prelude_bytes\": %llu, "
+                 "\"prelude_steps\": %llu, \"main_steps\": %llu, "
+                 "\"cold_ns\": %.0f, \"warm_ns\": %.0f, "
+                 "\"speedup\": %.2f}\n",
+                 (unsigned long long)kWarmFootprintBytes,
+                 (unsigned long long)warm.preludeSteps,
+                 (unsigned long long)warm.mainSteps, warm.coldNs,
+                 warm.warmNs, warm.speedup);
     std::fprintf(
         f,
         "  ],\n  \"fork_fuzz\": {\"variants\": %llu, "
@@ -290,17 +260,15 @@ writeBenchJson(const char *path)
                      cow[i].pagesTouched, cow[i].ns,
                      cow[i].nsPerPage,
                      i + 1 < cow.size() ? "," : "");
-    double warmSpeedupMin =
-        tree.speedup < bc.speedup ? tree.speedup : bc.speedup;
     std::fprintf(f,
                  "  ]},\n  \"warm_speedup_min\": %.2f,\n"
                  "  \"fork_speedup\": %.2f\n}\n",
-                 warmSpeedupMin, forkSpeedup);
+                 warm.speedup, forkSpeedup);
     std::fclose(f);
     std::fprintf(stderr,
-                 "BENCH_snapshot.json written: warm restore %.1fx "
-                 "(tree) / %.1fx (bytecode), fork fuzz %.1fx\n",
-                 tree.speedup, bc.speedup, forkSpeedup);
+                 "BENCH_snapshot.json written: warm restore %.1fx, "
+                 "fork fuzz %.1fx\n",
+                 warm.speedup, forkSpeedup);
 }
 
 // ---------------------------------------------------------------------
@@ -342,16 +310,15 @@ void
 BM_Machine_WarmRestoreRun(benchmark::State &state)
 {
     const driver::Profile &p = driver::referenceProfile();
-    Compiled c = compile(kWarmProgram, p);
+    sema::Program prog = compile(kWarmProgram, p);
     corelang::EvalOptions opts = p.evalOptions();
-    opts.engine = corelang::Engine::Bytecode;
-    auto builder = makeEngine(c, opts);
-    (void)builder->runPrelude();
-    corelang::Machine::SnapshotPtr snap = builder->capture();
+    corelang::Machine builder(prog, opts);
+    (void)builder.runPrelude();
+    corelang::Machine::SnapshotPtr snap = builder.capture();
     for (auto _ : state) {
-        auto m = makeEngine(c, opts);
-        m->restoreSnapshot(snap);
-        corelang::Outcome out = m->runMain();
+        corelang::Machine m(prog, opts);
+        m.restoreSnapshot(snap);
+        corelang::Outcome out = m.runMain();
         benchmark::DoNotOptimize(out.exitCode);
     }
 }
@@ -361,13 +328,12 @@ void
 BM_Machine_ColdPreludeRun(benchmark::State &state)
 {
     const driver::Profile &p = driver::referenceProfile();
-    Compiled c = compile(kWarmProgram, p);
+    sema::Program prog = compile(kWarmProgram, p);
     corelang::EvalOptions opts = p.evalOptions();
-    opts.engine = corelang::Engine::Bytecode;
     for (auto _ : state) {
-        auto m = makeEngine(c, opts);
-        (void)m->runPrelude();
-        corelang::Outcome out = m->runMain();
+        corelang::Machine m(prog, opts);
+        (void)m.runPrelude();
+        corelang::Outcome out = m.runMain();
         benchmark::DoNotOptimize(out.exitCode);
     }
 }

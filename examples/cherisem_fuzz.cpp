@@ -6,8 +6,8 @@
  *
  *   cherisem_fuzz [--seeds A..B] [--allow-ub] [--attack-templates]
  *                 [--stmts N]
- *                 [--profiles a,b,c] [--no-cross] [--no-engines]
- *                 [--no-allocators] [--fork N] [--shrink]
+ *                 [--profiles a,b,c] [--no-cross] [--no-allocators]
+ *                 [--fork N] [--shrink]
  *                 [--report PATH] [--print-seed N] [--jobs N]
  *                 [--quiet]
  *
@@ -24,7 +24,6 @@
  *   --profiles ...  restrict the grid to these profiles
  *   --no-cross      skip the cross-profile comparisons (backend
  *                   Map-vs-Paged grid only)
- *   --no-engines    skip the tree-vs-bytecode engine comparisons
  *   --no-allocators skip the per-profile firstfit-vs-sizeclass heap
  *                   placement comparisons
  *   --fork N        fork-fuzzing campaign: generate fork-shaped
@@ -68,7 +67,7 @@ usage()
             "usage: cherisem_fuzz [--seeds A..B] [--allow-ub] "
             "[--attack-templates] [--stmts N]\n"
             "                     [--profiles a,b,c] [--no-cross] "
-            "[--no-engines] [--no-allocators]\n"
+            "[--no-allocators]\n"
             "                     [--fork N] [--shrink] "
             "[--report PATH] [--print-seed N]\n"
             "                     [--jobs N] [--quiet]\n");
@@ -160,8 +159,6 @@ main(int argc, char **argv)
             runner.profiles = splitCommas(next("--profiles"));
         } else if (a == "--no-cross") {
             runner.crossProfiles = false;
-        } else if (a == "--no-engines") {
-            runner.engineAxis = false;
         } else if (a == "--no-allocators") {
             runner.allocatorAxis = false;
         } else if (a == "--fork") {

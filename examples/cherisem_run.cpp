@@ -5,14 +5,12 @@
  * executable semantics, section 7).
  *
  *   cherisem_run file.c [--profile NAME] [--all] [--stats]
- *                       [--stats-json PATH]
- *                       [--engine tree|bytecode] [--bench-repeat N]
- *                       [--dump-bytecode] [--trace=<sink>[:<arg>]]
- *                       [--replay-to SEQ]
+ *                       [--stats-json PATH] [--bench-repeat N]
+ *                       [--trace=<sink>[:<arg>]] [--replay-to SEQ]
  *
  * --stats-json PATH writes the --stats counters (MemStats with the
  * heap-allocator and revocation mirrors) as a machine-readable JSON
- * document ("cherisem-stats-v1": one "runs" entry per profile
+ * document ("cherisem-stats-v2": one "runs" entry per profile
  * executed, so --all yields the whole grid); `-` writes to stdout.
  *
  * Trace sinks (the execution-witness subsystem, src/obs/):
@@ -32,12 +30,8 @@
  * around SEQ are printed.  With a __prelude()-shaped program and a
  * target past the prelude this touches only the pages main() dirties.
  *
- * Engine selection (--engine) picks the tree-walking oracle or the
- * bytecode VM; both produce bit-identical outcomes and witness
- * streams.  --bench-repeat compiles once and re-runs evaluation N
- * times, reporting the minimum (the fair compile-once/run-many
- * comparison).  --dump-bytecode prints the compiled program's
- * disassembly instead of running it.
+ * --bench-repeat N compiles once and re-runs evaluation N times,
+ * reporting the minimum and mean evaluation time.
  */
 #include <chrono>
 #include <cstdio>
@@ -49,9 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "corelang/bytecode.h"
 #include "corelang/machine.h"
-#include "corelang/vm.h"
 #include "driver/interpreter.h"
 #include "frontend/parser.h"
 #include "mem/stats_json.h"
@@ -68,8 +60,8 @@ namespace corelang = cherisem::corelang;
 namespace {
 
 /** Parse/analyse/optimise under @p p; false (with a message on
- *  stderr) on a frontend error.  The bench and dump modes need the
- *  Core program itself, which runSource() never exposes. */
+ *  stderr) on a frontend error.  The bench and replay modes need
+ *  the Core program itself, which runSource() never exposes. */
 bool
 compileFrontend(const std::string &src, const Profile &p,
                 const std::string &file,
@@ -94,19 +86,6 @@ compileFrontend(const std::string &src, const Profile &p,
     return true;
 }
 
-/** --dump-bytecode: compile and print, don't run. */
-int
-dumpBytecode(const std::string &src, const Profile &p,
-             const std::string &file)
-{
-    std::optional<cherisem::sema::Program> prog;
-    if (!compileFrontend(src, p, file, &prog))
-        return 2;
-    corelang::BytecodeModule m = corelang::compileProgram(*prog);
-    printf("%s", corelang::disassemble(m, *prog).c_str());
-    return 0;
-}
-
 /** --bench-repeat N: compile once, evaluate N times, report the
  *  minimum evaluation time (matching bench/micro_interp.cpp). */
 int
@@ -117,20 +96,12 @@ benchRepeat(const std::string &src, Profile p,
     if (!compileFrontend(src, p, file, &prog))
         return 2;
     corelang::EvalOptions opts = p.evalOptions();
-    corelang::BytecodeModule module;
-    if (opts.engine == corelang::Engine::Bytecode)
-        module = corelang::compileProgram(*prog);
     corelang::Outcome outcome;
     uint64_t minNs = ~0ull, totalNs = 0;
     for (int i = 0; i < reps; ++i) {
         auto t0 = std::chrono::steady_clock::now();
-        if (opts.engine == corelang::Engine::Bytecode) {
-            corelang::Vm vm(*prog, opts, &module);
-            outcome = vm.run();
-        } else {
-            corelang::Machine machine(*prog, opts);
-            outcome = machine.run();
-        }
+        corelang::Machine machine(*prog, opts);
+        outcome = machine.run();
         auto t1 = std::chrono::steady_clock::now();
         uint64_t ns = (uint64_t)std::chrono::duration_cast<
                           std::chrono::nanoseconds>(t1 - t0)
@@ -138,9 +109,7 @@ benchRepeat(const std::string &src, Profile p,
         minNs = ns < minNs ? ns : minNs;
         totalNs += ns;
     }
-    printf("[%s/%s] %s\n", p.name.c_str(),
-           corelang::engineName(opts.engine),
-           outcome.summary().c_str());
+    printf("[%s] %s\n", p.name.c_str(), outcome.summary().c_str());
     printf("  reps=%d eval-min=%lluns eval-mean=%lluns\n", reps,
            (unsigned long long)minNs,
            (unsigned long long)(totalNs / (uint64_t)reps));
@@ -165,15 +134,6 @@ replayRun(const std::string &src, Profile p, const std::string &file,
     if (!compileFrontend(src, p, file, &prog))
         return 2;
     corelang::EvalOptions opts = p.evalOptions();
-    corelang::BytecodeModule module;
-    if (opts.engine == corelang::Engine::Bytecode)
-        module = corelang::compileProgram(*prog);
-    auto makeEngine = [&](const corelang::EvalOptions &o)
-        -> std::unique_ptr<corelang::Machine> {
-        if (o.engine == corelang::Engine::Bytecode)
-            return std::make_unique<corelang::Vm>(*prog, o, &module);
-        return std::make_unique<corelang::Machine>(*prog, o);
-    };
 
     // Record pass: one full traced run; capture() at the quiescent
     // post-prelude point, keyed by the events emitted so far.
@@ -183,11 +143,11 @@ replayRun(const std::string &src, Profile p, const std::string &file,
     {
         corelang::EvalOptions ropts = opts;
         ropts.memConfig.traceSink = &record;
-        std::unique_ptr<corelang::Machine> m = makeEngine(ropts);
-        std::optional<corelang::Outcome> pre = m->runPrelude();
+        corelang::Machine m(*prog, ropts);
+        std::optional<corelang::Outcome> pre = m.runPrelude();
         if (!pre)
-            index.add(record.emitted(), m->capture());
-        outcome = pre ? *pre : m->runMain();
+            index.add(record.emitted(), m.capture());
+        outcome = pre ? *pre : m.runMain();
     }
     printf("[%s] %s\n", p.name.c_str(), outcome.summary().c_str());
     uint64_t total = record.emitted();
@@ -223,16 +183,16 @@ replayRun(const std::string &src, Profile p, const std::string &file,
     corelang::EvalOptions sopts = opts;
     sopts.memConfig.traceSink = &stop;
     try {
-        std::unique_ptr<corelang::Machine> m = makeEngine(sopts);
+        corelang::Machine m(*prog, sopts);
         if (entry) {
-            m->restoreSnapshot(entry->snap);
+            m.restoreSnapshot(entry->snap);
             for (uint64_t i = 0; i < entry->seq; ++i)
                 stop.emit(recorded[i]);
-            (void)m->runMain();
+            (void)m.runMain();
         } else {
-            std::optional<corelang::Outcome> pre = m->runPrelude();
+            std::optional<corelang::Outcome> pre = m.runPrelude();
             if (!pre)
-                (void)m->runMain();
+                (void)m.runMain();
         }
     } catch (const obs::ReplayStop &) {
         // The target event has been re-derived; the half-finished
@@ -285,10 +245,8 @@ std::string
 statsJsonEntry(const Profile &p, const RunResult &r)
 {
     std::string e = "    {\n";
-    e += cherisem::strPrintf(
-        "      \"profile\": \"%s\",\n      \"engine\": \"%s\",\n",
-        obs::jsonEscape(p.name).c_str(),
-        corelang::engineName(p.engine));
+    e += cherisem::strPrintf("      \"profile\": \"%s\",\n",
+                             obs::jsonEscape(p.name).c_str());
     e += cherisem::strPrintf(
         "      \"outcome\": \"%s\",\n      \"frontend_error\": %s,\n"
         "      \"steps\": %llu,\n",
@@ -396,10 +354,8 @@ main(int argc, char **argv)
     std::string profile = "cerberus";
     std::string traceSpec;
     std::string statsJsonPath;
-    std::string engineName;
     bool all = false;
     bool verbose = false;
-    bool dump = false;
     int benchReps = 0;
     bool haveReplay = false;
     uint64_t replayTo = 0;
@@ -408,16 +364,9 @@ main(int argc, char **argv)
             profile = argv[++i];
         } else if (!std::strcmp(argv[i], "--all")) {
             all = true;
-        } else if (!std::strcmp(argv[i], "--engine") &&
-                   i + 1 < argc) {
-            engineName = argv[++i];
-        } else if (!std::strncmp(argv[i], "--engine=", 9)) {
-            engineName = argv[i] + 9;
         } else if (!std::strcmp(argv[i], "--bench-repeat") &&
                    i + 1 < argc) {
             benchReps = std::atoi(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--dump-bytecode")) {
-            dump = true;
         } else if (!std::strcmp(argv[i], "--replay-to") &&
                    i + 1 < argc) {
             haveReplay = true;
@@ -448,8 +397,7 @@ main(int argc, char **argv)
     if (file.empty()) {
         fprintf(stderr,
                 "usage: cherisem_run file.c [--profile NAME] [--all] "
-                "[--engine tree|bytecode] [--bench-repeat N] "
-                "[--dump-bytecode] [--replay-to SEQ] [--stats] "
+                "[--bench-repeat N] [--replay-to SEQ] [--stats] "
                 "[--stats-json PATH] "
                 "[--trace=<sink>[:<arg>]] [--list]\n");
         return 2;
@@ -458,15 +406,6 @@ main(int argc, char **argv)
         fprintf(stderr,
                 "--replay-to replays one profile's recording; drop "
                 "--all or pick a --profile\n");
-        return 2;
-    }
-    corelang::Engine engine = corelang::Engine::Tree;
-    bool haveEngine = !engineName.empty();
-    if (haveEngine &&
-        !corelang::parseEngine(engineName, &engine)) {
-        fprintf(stderr,
-                "unknown engine %s (want tree or bytecode)\n",
-                engineName.c_str());
         return 2;
     }
     std::ifstream in(file);
@@ -493,12 +432,9 @@ main(int argc, char **argv)
 
     int rc = 0;
     if (all) {
-        for (Profile p : allProfiles()) {
-            if (haveEngine)
-                p.engine = engine;
+        for (const Profile &p : allProfiles())
             rc = runOne(ss.str(), p, file, verbose, sink.get(),
                         entries);
-        }
     } else {
         const Profile *found = findProfile(profile);
         if (!found) {
@@ -506,12 +442,8 @@ main(int argc, char **argv)
                     profile.c_str());
             return 2;
         }
-        Profile p = *found;
-        if (haveEngine)
-            p.engine = engine;
-        if (dump)
-            rc = dumpBytecode(ss.str(), p, file);
-        else if (benchReps > 0)
+        const Profile &p = *found;
+        if (benchReps > 0)
             rc = benchRepeat(ss.str(), p, file, benchReps);
         else if (haveReplay)
             rc = replayRun(ss.str(), p, file, replayTo, sink.get());
@@ -520,7 +452,7 @@ main(int argc, char **argv)
                         entries);
     }
     if (entries) {
-        std::string doc = "{\n  \"schema\": \"cherisem-stats-v1\",\n";
+        std::string doc = "{\n  \"schema\": \"cherisem-stats-v2\",\n";
         doc += "  \"file\": \"" + obs::jsonEscape(file) + "\",\n";
         doc += "  \"runs\": [\n";
         for (size_t i = 0; i < statsEntries.size(); ++i)

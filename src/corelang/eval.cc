@@ -1,35 +1,14 @@
 /**
  * @file
  * Public evaluation entry point.  The semantics proper lives in
- * machine.{h,cc} (the shared tree-walking core) and vm.{h,cc} (the
- * bytecode engine); this file only selects an engine and runs it.
+ * machine.{h,cc}; this file only runs a Machine and summarises its
+ * Outcome.
  */
 #include "corelang/eval.h"
 
 #include "corelang/machine.h"
-#include "corelang/vm.h"
 
 namespace cherisem::corelang {
-
-bool
-parseEngine(const std::string &name, Engine *out)
-{
-    if (name == "tree") {
-        *out = Engine::Tree;
-        return true;
-    }
-    if (name == "bytecode") {
-        *out = Engine::Bytecode;
-        return true;
-    }
-    return false;
-}
-
-const char *
-engineName(Engine e)
-{
-    return e == Engine::Tree ? "tree" : "bytecode";
-}
 
 std::string
 Outcome::summary() const
@@ -52,10 +31,6 @@ Outcome::summary() const
 Outcome
 evaluate(const sema::Program &prog, const EvalOptions &opts)
 {
-    if (opts.engine == Engine::Bytecode) {
-        Vm vm(prog, opts);
-        return vm.run();
-    }
     Machine machine(prog, opts);
     return machine.run();
 }

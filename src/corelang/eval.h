@@ -7,7 +7,8 @@
  * the paper): expression evaluation, the statement machine, frames
  * with object lifetimes, the builtin/intrinsic implementations, and
  * undefined-behaviour propagation.  Everything memory-shaped is
- * delegated to mem::MemoryModel.
+ * delegated to mem::MemoryModel.  The one implementation is
+ * corelang::Machine (machine.h); this header is its public face.
  */
 #ifndef CHERISEM_CORELANG_EVAL_H
 #define CHERISEM_CORELANG_EVAL_H
@@ -24,23 +25,6 @@
 
 namespace cherisem::corelang {
 
-/** Which execution engine runs the program.  Both produce
- *  bit-identical outcomes and witness streams (the bytecode VM
- *  shares every semantic rule with the tree walker — see
- *  machine.h); Tree is the reference oracle, Bytecode the fast
- *  path. */
-enum class Engine
-{
-    Tree,     ///< reference tree-walking interpreter
-    Bytecode, ///< compile-once bytecode VM
-};
-
-/** Parse an engine name ("tree" / "bytecode"); returns false on an
- *  unknown name. */
-bool parseEngine(const std::string &name, Engine *out);
-/** The engine's canonical name. */
-const char *engineName(Engine e);
-
 /** Options controlling a single abstract-machine run. */
 struct EvalOptions
 {
@@ -52,8 +36,6 @@ struct EvalOptions
     bool printProvenance = true;
     /** Abort runaway programs after this many evaluation steps. */
     uint64_t maxSteps = 20'000'000;
-    /** Execution engine (identical observable semantics). */
-    Engine engine = Engine::Tree;
     /** Cooperative cancellation: when non-null, polled every few
      *  thousand steps; a true load ends the run cleanly with
      *  Outcome::Kind::ResourceExhausted (the serving layer's
@@ -112,7 +94,7 @@ struct Outcome
     std::string summary() const;
 };
 
-/** Execute @p prog from main(). */
+/** Execute @p prog from main() on a fresh corelang::Machine. */
 Outcome evaluate(const sema::Program &prog, const EvalOptions &opts);
 
 } // namespace cherisem::corelang

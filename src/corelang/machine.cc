@@ -1,12 +1,10 @@
 /**
  * @file
- * Machine method bodies: the tree-walking reference engine and every
- * semantic rule the bytecode VM inherits.  Moved verbatim from the
- * original single-file evaluator; the only structural change is that
- * the post-operand value transformations (binaryOp, castValueOp,
- * incDecNext, compoundNext, builtinCall) are separate methods so
- * bytecode instructions can invoke them on operands that are already
- * on the VM stack.
+ * Machine method bodies: the tree-walking evaluator and every
+ * semantic rule of the abstract machine.  The post-operand value
+ * transformations (binaryOp, castValueOp, incDecNext, compoundNext,
+ * builtinCall) are separate methods from the Expr-walking code that
+ * evaluates their operands.
  */
 #include "corelang/machine.h"
 
@@ -134,7 +132,7 @@ Machine::runPrelude()
         auto it = prog_.functionIndex.find(kPreludeFunction);
         if (it != prog_.functionIndex.end() &&
             prog_.unit.functions[it->second].body) {
-            callFunction(it->second, {}, {});
+            callFunction(it->second, {});
         }
         return std::nullopt;
     } catch (const EvalFailure &f) {
@@ -161,7 +159,7 @@ Machine::runMain()
             out.kind = Outcome::Kind::Error;
             out.message = "no main function";
         } else {
-            MemValue r = callFunction(it->second, {}, {});
+            MemValue r = callFunction(it->second, {});
             out.kind = Outcome::Kind::Exit;
             out.exitCode = r.isInteger()
                                ? static_cast<int>(
@@ -187,8 +185,7 @@ Machine::SnapshotPtr
 Machine::capture() const
 {
     // Quiescent point only: no live frames means every piece of
-    // engine state that matters is in the members captured below
-    // (the VM's operand stack and slot frames are empty too).
+    // machine state that matters is in the members captured below.
     assert(scopes_.empty() && callDepth_ == 0 &&
            "capture() outside a quiescent point");
     auto snap = std::make_shared<Snapshot>();
@@ -1137,15 +1134,11 @@ Machine::evalCall(const Expr &e)
     args.reserve(e.args.size());
     for (const auto &a : e.args)
         args.push_back(evalExpr(*a));
-    std::vector<TypeRef> arg_types;
-    for (const auto &a : e.args)
-        arg_types.push_back(a->type);
-    return callFunction(idx, std::move(args), arg_types);
+    return callFunction(idx, std::move(args));
 }
 
 MemValue
-Machine::callFunction(uint32_t idx, std::vector<MemValue> args,
-                      const std::vector<TypeRef> &arg_types)
+Machine::callFunction(uint32_t idx, std::vector<MemValue> args)
 {
     const frontend::FunctionDef &fn = prog_.unit.functions[idx];
     if (++callDepth_ > 1000) {
@@ -1179,7 +1172,6 @@ Machine::callFunction(uint32_t idx, std::vector<MemValue> args,
     }
     // Variadic extras are accessible via the builtin va-list
     // emulation (not exposed to the corpus beyond printf).
-    (void)arg_types;
 
     MemValue result = MemValue(mem::UnspecValue{
         fn.type->returnType});
@@ -1558,9 +1550,11 @@ Machine::formatPrintf(const SourceLoc &loc, const std::string &fmt,
     return out;
 }
 
-void
-Machine::builtinPrologue(const Expr &e)
+MemValue
+Machine::evalBuiltin(const Expr &e)
 {
+    // Count and witness the call *before* argument evaluation (the
+    // event order is part of the trace contract).
     Builtin b = static_cast<Builtin>(e.builtinId);
     size_t idx = static_cast<size_t>(b);
     assert(idx < kNumBuiltins);
@@ -1572,13 +1566,6 @@ Machine::builtinPrologue(const Expr &e)
                  .line = e.loc.line,
                  .label = intrinsics::builtinName(b)});
     }
-}
-
-MemValue
-Machine::evalBuiltin(const Expr &e)
-{
-    builtinPrologue(e);
-    size_t idx = static_cast<size_t>(e.builtinId);
 
     auto eval_args = [&] {
         std::vector<MemValue> args;

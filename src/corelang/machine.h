@@ -1,25 +1,18 @@
 /**
  * @file
- * The shared semantic core of the two execution engines.
+ * The abstract machine: the one evaluator of the executable
+ * semantics.
  *
  * Machine is the complete tree-walking abstract machine of the paper
  * (section 4): expression evaluation, the statement machine, frames
  * with object lifetimes, the builtin/intrinsic implementations, and
- * undefined-behaviour propagation.  Used directly it *is* the
- * reference tree-walking engine; the bytecode VM (vm.h) subclasses it,
- * overriding only function-body execution (callFunction) while
- * inheriting every value-level transformation, the global/static
- * initialization paths, the scope/lifetime discipline, and the
- * builtins.  That inheritance — not testing alone — is what makes the
- * two engines agree bit-for-bit: there is exactly one implementation
- * of each semantic rule.
+ * undefined-behaviour propagation.  Every semantic rule has exactly
+ * one implementation here; everything memory-shaped is delegated to
+ * mem::MemoryModel.
  *
- * The value-level helpers the bytecode instructions call directly
- * (binaryOp, castValueOp, incDecNext, builtinCall, ...) are the
- * tree evaluator's own post-operand-evaluation bodies, factored so an
- * instruction that has already materialised its operands on the VM
- * stack runs the identical code the tree walker runs under an Expr
- * node.
+ * Besides run(), the machine exposes the prelude/main split and
+ * capture()/restoreSnapshot() used by warm serving and the fuzz fork
+ * driver.
  */
 #ifndef CHERISEM_CORELANG_MACHINE_H
 #define CHERISEM_CORELANG_MACHINE_H
@@ -37,11 +30,10 @@
 
 namespace cherisem::corelang {
 
-/// @name Non-local control flow inside the engines.
+/// @name Non-local control flow inside the machine.
 /// UB and semantic errors unwind as EvalFailure; exit()/abort()/assert
-/// have their own carriers.  Both engines throw and catch these with
-/// the same frame discipline, so object-lifetime (kill) event order on
-/// unwind is identical by construction.
+/// have their own carriers.  Every frame pops its scope on unwind, so
+/// object-lifetime (kill) events are witnessed in LIFO order.
 /// @{
 struct EvalFailure
 {
@@ -86,7 +78,6 @@ class Machine
 {
   public:
     Machine(const sema::Program &prog, const EvalOptions &opts);
-    virtual ~Machine() = default;
 
     /** Reserved function name: when a program defines `__prelude()`,
      *  run() executes it between global initialization and main().
@@ -112,7 +103,7 @@ class Machine
 
     /**
      * A fork of the whole machine state at a quiescent point: the
-     * memory model's (A, S, (B, C)) snapshot plus the engine-level
+     * memory model's (A, S, (B, C)) snapshot plus the machine-level
      * environment (global bindings, interned string literals, static
      * locals, function-pointer cache, accumulated output, step and
      * intrinsic counters).  Bindings reference AST nodes of *this*
@@ -127,17 +118,15 @@ class Machine
      *  (after runPrelude() returned nullopt; scopes empty, no native
      *  recursion) — asserted. */
     SnapshotPtr capture() const;
-    /** Rewind to @p snap.  Virtual so the bytecode VM can also clear
-     *  its (stack-disciplined, normally empty) frame state after a
-     *  terminal unwind. */
-    virtual void restoreSnapshot(const SnapshotPtr &snap);
+    /** Rewind to @p snap (also valid after a terminal unwind). */
+    void restoreSnapshot(const SnapshotPtr &snap);
 
     /** Overwrite an integer-typed global with @p value (the fuzz
      *  fork driver's variant injection).  Returns false when no such
      *  global exists or the store faults. */
     bool pokeGlobalInt(const std::string &name, int64_t value);
 
-  protected:
+  private:
     // ---- environment ----
 
     struct Binding
@@ -256,8 +245,7 @@ class Machine
 
     /// @name Post-operand value transformations.
     /// The bodies the tree walker runs once an Expr node's operands
-    /// are evaluated; bytecode instructions call these directly with
-    /// operands popped off the VM stack.
+    /// are evaluated.
     /// @{
     cap::Capability addressArith(const cap::Capability &c,
                                  uint64_t a) const;
@@ -285,7 +273,7 @@ class Machine
                                const mem::MemValue &old,
                                const mem::MemValue &rv);
     /** Scalar cast on an evaluated operand (not array decay /
-     *  function designators — the engines handle those shapes). */
+     *  function designators — evalCast handles those shapes). */
     mem::MemValue castValueOp(const frontend::Expr &e, mem::MemValue v);
     /** Resolve an indirect callee value to a function index (UB on
      *  untagged capability / non-function target). */
@@ -301,12 +289,10 @@ class Machine
 
     // ---- calls ----
 
-    /** Execute function @p idx with evaluated arguments.  Virtual:
-     *  the bytecode engine overrides this (only this) to run the
-     *  compiled chunk instead of walking the body AST. */
-    virtual mem::MemValue callFunction(
-        uint32_t idx, std::vector<mem::MemValue> args,
-        const std::vector<ctype::TypeRef> &arg_types);
+    /** Execute function @p idx with evaluated arguments (the
+     *  1000-frame call-depth limit lives here). */
+    mem::MemValue callFunction(uint32_t idx,
+                               std::vector<mem::MemValue> args);
 
     // ---- statements (tree walk) ----
 
@@ -314,12 +300,9 @@ class Machine
 
     // ---- builtins ----
 
-    /** Counter + trace + timer wrapper; tree-evaluates arguments. */
+    /** Counter + trace + timer wrapper; evaluates the arguments and
+     *  dispatches to builtinCall. */
     mem::MemValue evalBuiltin(const frontend::Expr &e);
-    /** Bump the per-intrinsic counter and emit the Intrinsic witness
-     *  event — the prefix both engines run *before* argument
-     *  evaluation (the event order is part of the trace contract). */
-    void builtinPrologue(const frontend::Expr &e);
     /** Dispatch builtin @p e on already-evaluated arguments. */
     mem::MemValue builtinCall(const frontend::Expr &e,
                               std::vector<mem::MemValue> &args);
@@ -364,7 +347,7 @@ class Machine
     std::map<uint32_t, mem::PointerValue> funcPtrs_;
     std::string output_;
     uint64_t steps_ = 0;
-    /** steps_ threshold at which step()/VM_CHARGE take the slow
+    /** steps_ threshold at which step() takes the slow
      *  path: maxSteps+1 (saturated) without a watchdog, else the
      *  next poll boundary.  Maintained by stepSlow(). */
     uint64_t checkAt_ = 0;

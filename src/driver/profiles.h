@@ -41,8 +41,6 @@ struct Profile
     corelang::OptimizeOptions optims;
     cap::FormatStyle capFormat = cap::FormatStyle::Abstract;
     bool printProvenance = true;
-    /** Execution engine (observationally identical either way). */
-    corelang::Engine engine = corelang::Engine::Tree;
 
     corelang::EvalOptions
     evalOptions() const
@@ -51,7 +49,6 @@ struct Profile
         o.memConfig = memConfig;
         o.capFormat = capFormat;
         o.printProvenance = printProvenance;
-        o.engine = engine;
         return o;
     }
 };

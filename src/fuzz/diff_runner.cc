@@ -101,7 +101,6 @@ Divergence::jsonl(const std::string &source) const
     const char *k = "profile";
     switch (kind) {
       case Kind::Backend: k = "backend"; break;
-      case Kind::Engine: k = "engine"; break;
       case Kind::Crash: k = "crash"; break;
       case Kind::UbFree: k = "ub-free-violation"; break;
       case Kind::Fork: k = "fork"; break;
@@ -165,28 +164,6 @@ runCase(uint64_t seed, const std::string &source,
             r.left.outcome.kind != Outcome::Kind::Exit) {
             out.push_back({Divergence::Kind::UbFree, seed, p->name,
                            r.left.summary(), false});
-        }
-    }
-
-    // Engine grid: tree oracle vs bytecode VM per profile.  Both
-    // runs use the default store backend; the backend grid above
-    // already pins Map against Paged.
-    if (opts.engineAxis) {
-        for (const driver::Profile *p : grid) {
-            obs::DifferentialResult r =
-                obs::diffEngines(source, *p, opts.ringCapacity);
-            if (isCrash(r.left) || isCrash(r.right)) {
-                out.push_back({Divergence::Kind::Crash, seed,
-                               p->name + ":tree|bytecode",
-                               r.left.summary() + " | " +
-                                   r.right.summary(),
-                               false});
-                continue;
-            }
-            if (!r.equivalent() || !sameOutcome(r.left, r.right)) {
-                out.push_back({Divergence::Kind::Engine, seed,
-                               p->name, r.summary(), false});
-            }
         }
     }
 

@@ -7,10 +7,6 @@
  *  - per profile, MapStore vs PagedStore under RingBufferSink tracing
  *    (obs::diffStoreBackends): the streams and outcomes must be
  *    bit-identical — any divergence is a bug, full stop;
- *  - per profile, tree-walking oracle vs bytecode VM
- *    (obs::diffEngines): the engine is likewise below the
- *    semantics, so streams and outcomes must be bit-identical — any
- *    divergence is a compiler or VM bug, full stop;
  *  - reference profile vs each hardware profile
  *    (obs::diffProfiles, addresses/labels not compared): divergences
  *    are findings, and are *expected* exactly when they sit on one of
@@ -54,7 +50,6 @@ struct Divergence
     enum class Kind
     {
         Backend,  ///< Map vs Paged disagreed (always a bug)
-        Engine,   ///< tree vs bytecode disagreed (always a bug)
         Crash,    ///< internal error / frontend error on a run
         Profile,  ///< cross-profile semantic divergence
         UbFree,   ///< UB-free-by-construction program didn't Exit
@@ -85,9 +80,6 @@ struct RunnerOptions
     std::vector<std::string> profiles;
     /** Also diff the reference profile against every other one. */
     bool crossProfiles = true;
-    /** Per profile, diff the tree-walking oracle against the
-     *  bytecode VM (streams must be bit-identical). */
-    bool engineAxis = true;
     /** Per profile, diff first-fit against sizeclass-slab heap
      *  placement (same profile otherwise). */
     bool allocatorAxis = true;

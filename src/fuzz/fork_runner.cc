@@ -5,12 +5,10 @@
 #include "fuzz/fork_runner.h"
 
 #include <chrono>
-#include <memory>
 #include <optional>
 
 #include "corelang/machine.h"
 #include "corelang/optimize.h"
-#include "corelang/vm.h"
 #include "frontend/parser.h"
 #include "obs/sinks.h"
 #include "obs/trace_diff.h"
@@ -29,16 +27,6 @@ nowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-std::unique_ptr<corelang::Machine>
-makeEngine(const sema::Program &prog,
-           const corelang::BytecodeModule *module,
-           const corelang::EvalOptions &opts)
-{
-    if (opts.engine == corelang::Engine::Bytecode)
-        return std::make_unique<corelang::Vm>(prog, opts, module);
-    return std::make_unique<corelang::Machine>(prog, opts);
 }
 
 } // namespace
@@ -60,7 +48,6 @@ runForkCase(uint64_t seed, const std::string &source,
 
     // Compile once — the whole point of forking.
     sema::Program prog;
-    corelang::BytecodeModule module;
     try {
         frontend::TranslationUnit unit =
             frontend::parse(source, "<fork>");
@@ -69,7 +56,6 @@ runForkCase(uint64_t seed, const std::string &source,
             profile->memConfig.arch->addrBits() / 8};
         prog = sema::analyze(std::move(unit), machine);
         corelang::optimize(prog, profile->optims);
-        module = corelang::compileProgram(prog);
     } catch (const frontend::FrontendError &e) {
         out.push_back({Divergence::Kind::Crash, seed, profile->name,
                        "frontend-error " + e.str(), false});
@@ -87,12 +73,11 @@ runForkCase(uint64_t seed, const std::string &source,
     obs::RingBufferSink preludeRing(opts.ringCapacity);
     corelang::EvalOptions bopts = eopts;
     bopts.memConfig.traceSink = &preludeRing;
-    std::unique_ptr<corelang::Machine> builder =
-        makeEngine(prog, &module, bopts);
-    std::optional<Outcome> preTerminal = builder->runPrelude();
+    corelang::Machine builder(prog, bopts);
+    std::optional<Outcome> preTerminal = builder.runPrelude();
     corelang::Machine::SnapshotPtr snap;
     if (!preTerminal)
-        snap = builder->capture();
+        snap = builder.capture();
     std::vector<obs::TraceEvent> preludeEvents =
         preludeRing.snapshot();
     if (stats && snap)
@@ -112,14 +97,12 @@ runForkCase(uint64_t seed, const std::string &source,
             for (const obs::TraceEvent &e : preludeEvents)
                 forkRing.emit(e);
         } else {
-            std::unique_ptr<corelang::Machine> m =
-                makeEngine(prog, &module, fopts);
-            m->restoreSnapshot(snap);
+            corelang::Machine m(prog, fopts);
+            m.restoreSnapshot(snap);
             for (const obs::TraceEvent &e : preludeEvents)
                 forkRing.emit(e);
-            m->pokeGlobalInt("__variant",
-                             static_cast<int64_t>(k));
-            forkOut = m->runMain();
+            m.pokeGlobalInt("__variant", static_cast<int64_t>(k));
+            forkOut = m.runMain();
         }
         if (stats)
             stats->forkNs += nowNs() - t0;
@@ -132,15 +115,13 @@ runForkCase(uint64_t seed, const std::string &source,
         Outcome coldOut;
         t0 = nowNs();
         {
-            std::unique_ptr<corelang::Machine> m =
-                makeEngine(prog, &module, copts);
-            std::optional<Outcome> pre = m->runPrelude();
+            corelang::Machine m(prog, copts);
+            std::optional<Outcome> pre = m.runPrelude();
             if (pre) {
                 coldOut = *pre;
             } else {
-                m->pokeGlobalInt("__variant",
-                                 static_cast<int64_t>(k));
-                coldOut = m->runMain();
+                m.pokeGlobalInt("__variant", static_cast<int64_t>(k));
+                coldOut = m.runMain();
             }
         }
         if (stats) {

@@ -7,7 +7,7 @@
  * main() keyed on the `__variant` global) ONCE, executes globals +
  * prelude once, captures the post-prelude snapshot, and then forks N
  * variants from it: each variant restores the snapshot into a fresh
- * engine, pokes `__variant = k`, and runs only main().
+ * machine, pokes `__variant = k`, and runs only main().
  *
  * The oracle is the strongest the observability layer offers: every
  * forked variant is re-run cold (fresh machine, full prelude, same

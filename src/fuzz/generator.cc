@@ -652,7 +652,7 @@ class Gen
     // The fuzz-side mirror of the attack catalog (src/attack/): the
     // same techniques the annotated suite programs pin, but woven
     // into random programs so the differential axes (backends,
-    // engines, profiles, allocators) sweep a much larger state space
+    // profiles, allocators) sweep a much larger state space
     // around them.  In UB-free mode every template is the
     // *remediation* idiom — tag-preserving, address-independent sink
     // folds — so the cross-profile exit-agreement oracle still

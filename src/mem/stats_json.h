@@ -5,7 +5,7 @@
  * `cherisem_run --stats-json`, the coverage runner, CI — can consume
  * the `--stats` numbers without scraping text.  The output parses
  * with serve::parseJson and is stable under the
- * "cherisem-stats-v1" schema: every counter is a JSON number field
+ * "cherisem-stats-v2" schema: every counter is a JSON number field
  * whose name is the snake_case of the struct member.
  */
 #ifndef CHERISEM_MEM_STATS_JSON_H

@@ -47,34 +47,6 @@ diffStoreBackends(const std::string &source,
 }
 
 DifferentialResult
-diffEngines(const std::string &source,
-            const driver::Profile &profile, size_t ringCapacity)
-{
-    DifferentialResult res;
-
-    driver::Profile tree = profile;
-    tree.engine = corelang::Engine::Tree;
-    driver::Profile bytecode = profile;
-    bytecode.engine = corelang::Engine::Bytecode;
-
-    RingBufferSink lring(ringCapacity), rring(ringCapacity);
-    std::vector<TraceEvent> l =
-        tracedRun(source, tree, lring, &res.left);
-    std::vector<TraceEvent> r =
-        tracedRun(source, bytecode, rring, &res.right);
-
-    res.leftEvents = lring.emitted();
-    res.rightEvents = rring.emitted();
-    res.truncated = lring.dropped() > 0 || rring.dropped() > 0;
-
-    // The engine lives *below* the semantics: every witness,
-    // including concrete addresses, must match exactly.
-    DiffOptions opts;
-    res.diff = diffEventStreams(l, r, opts);
-    return res;
-}
-
-DifferentialResult
 diffProfiles(const std::string &source, const driver::Profile &a,
              const driver::Profile &b, const DiffOptions &opts,
              size_t ringCapacity)

@@ -9,10 +9,6 @@
  *  - diffStoreBackends: same profile, MapStore oracle vs PagedStore —
  *    the streams must be *identical* (the store is an implementation
  *    detail below the semantics), so any divergence is a bug;
- *  - diffEngines: same profile, tree-walking oracle vs bytecode VM —
- *    the engine is likewise below the semantics, so outcomes and
- *    streams must be bit-identical; any divergence is a compiler or
- *    VM bug;
  *  - diffProfiles: two implementation profiles (section 6 style) —
  *    divergences are findings, and the first divergent event names
  *    the semantic axis on which the implementations differ.
@@ -60,16 +56,6 @@ struct DifferentialResult
 DifferentialResult diffStoreBackends(const std::string &source,
                                      const driver::Profile &profile,
                                      size_t ringCapacity = 1 << 17);
-
-/**
- * Run @p source under @p profile twice — once per execution engine
- * (tree-walking oracle, then bytecode VM) — and diff the full event
- * streams (addresses compared: the engines must agree
- * bit-for-bit).
- */
-DifferentialResult diffEngines(const std::string &source,
-                               const driver::Profile &profile,
-                               size_t ringCapacity = 1 << 17);
 
 /**
  * Run @p source under two implementation profiles and diff the

@@ -25,15 +25,12 @@ struct PhaseTimings
     uint64_t parseNs = 0;
     uint64_t semaNs = 0;
     uint64_t optimizeNs = 0;
-    /** Bytecode compilation (serving-layer front half; zero for
-     *  tree-engine runs that never compile). */
-    uint64_t compileNs = 0;
     uint64_t evalNs = 0;
 
     uint64_t
     totalNs() const
     {
-        return parseNs + semaNs + optimizeNs + compileNs + evalNs;
+        return parseNs + semaNs + optimizeNs + evalNs;
     }
 };
 

@@ -16,7 +16,7 @@
  *    returns the nearest snapshot at-or-before a target seq.  The
  *    payload type is a template parameter because snapshots live
  *    above this layer (corelang::Machine::SnapshotPtr) and obs must
- *    not depend upward.  Engines can only capture at quiescent
+ *    not depend upward.  The machine can only capture at quiescent
  *    points (machine.h), so a driver registers one entry per
  *    quiescent point it passes — for cherisem_run that is the
  *    post-prelude boundary; the cold start (seq 0, no snapshot) is
@@ -24,8 +24,8 @@
  *
  *  - StopAtSeqSink  a recording sink that throws ReplayStop from
  *    write() immediately after the event with seq == stopAfter is
- *    recorded.  The exception unwinds out of the engine through
- *    runMain() — the engines' typed catch sites (EvalFailure /
+ *    recorded.  The exception unwinds out of the machine through
+ *    runMain() — its typed catch sites (EvalFailure /
  *    ExitException / AssertFailure) do not intercept it, and their
  *    catch(...) frame-cleanup handlers rethrow.  Events emitted
  *    while that unwind is in flight (the FuncExit balancing events)
@@ -47,7 +47,7 @@
 namespace cherisem::obs {
 
 /** Thrown by StopAtSeqSink when the target event has been recorded.
- *  A plain carrier struct, mirroring the engines' own non-local
+ *  A plain carrier struct, mirroring the machine's own non-local
  *  control flow types (corelang/machine.h). */
 struct ReplayStop
 {

@@ -1,13 +1,12 @@
 /**
  * @file
- * The content-hash front cache: parse -> sema -> optimize ->
- * bytecode-compile, keyed by (source bytes, profile name).
+ * The content-hash front cache: parse -> sema -> optimize, keyed by
+ * (source bytes, profile name).
  *
  * A CompiledProgram is immutable after construction — sema::Program
- * is plain annotated-AST data and BytecodeModule is compile-once by
- * design — so one shared_ptr can be evaluated by any number of
- * workers concurrently; each evaluation builds its own Machine/Vm
- * and MemoryModel.  The profile name is part of the key because the
+ * is plain annotated-AST data — so one shared_ptr can be evaluated
+ * by any number of workers concurrently; each evaluation builds its
+ * own Machine and MemoryModel.  The profile name is part of the key because the
  * optimisation passes rewrite the AST per profile and the machine
  * layout (capability size) feeds sema.
  *
@@ -27,7 +26,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "corelang/bytecode.h"
 #include "corelang/optimize.h"
 #include "obs/metrics.h"
 #include "sema/sema.h"
@@ -50,7 +48,6 @@ fnv1a(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ull)
 struct CompiledProgram
 {
     sema::Program prog;
-    corelang::BytecodeModule module;
     corelang::OptimizeStats optStats;
     /** What the front half cost when it was compiled (evalNs 0). */
     obs::PhaseTimings frontPhases;

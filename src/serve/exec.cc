@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "corelang/machine.h"
-#include "corelang/vm.h"
 #include "frontend/parser.h"
 #include "obs/sinks.h"
 
@@ -35,16 +34,13 @@ digestEvents(const std::vector<obs::TraceEvent> &events,
     return h;
 }
 
-/** The per-run evaluation options: profile defaults, engine
- *  override, and request budgets clamped to the server ceilings. */
+/** The per-run evaluation options: profile defaults and request
+ *  budgets clamped to the server ceilings. */
 corelang::EvalOptions
 resolveOpts(const driver::Profile &profile, const RunSpec &spec,
             const ExecLimits &limits)
 {
     corelang::EvalOptions opts = profile.evalOptions();
-    if (spec.engineOverride >= 0)
-        opts.engine =
-            static_cast<corelang::Engine>(spec.engineOverride);
     uint64_t maxSteps =
         spec.maxSteps ? spec.maxSteps : limits.maxSteps;
     // A request may tighten the server's budget, never exceed it.
@@ -58,16 +54,6 @@ resolveOpts(const driver::Profile &profile, const RunSpec &spec,
             std::chrono::milliseconds(deadlineMs);
     opts.cancel = limits.cancel;
     return opts;
-}
-
-std::unique_ptr<corelang::Machine>
-makeEngine(const CompiledPtr &compiled,
-           const corelang::EvalOptions &opts)
-{
-    if (opts.engine == corelang::Engine::Bytecode)
-        return std::make_unique<corelang::Vm>(compiled->prog, opts,
-                                              &compiled->module);
-    return std::make_unique<corelang::Machine>(compiled->prog, opts);
 }
 
 } // namespace
@@ -117,13 +103,6 @@ compileFront(const std::string &source,
             compiled->optStats =
                 corelang::optimize(compiled->prog, profile.optims);
         }
-        {
-            obs::ScopedPhaseTimer t(
-                &compiled->frontPhases.compileNs, noTrace,
-                "compile");
-            compiled->module =
-                corelang::compileProgram(compiled->prog);
-        }
     } catch (const frontend::FrontendError &e) {
         result->frontendError = true;
         result->frontendMessage = e.str();
@@ -136,7 +115,6 @@ compileFront(const std::string &source,
     result->phases.parseNs = compiled->frontPhases.parseNs;
     result->phases.semaNs = compiled->frontPhases.semaNs;
     result->phases.optimizeNs = compiled->frontPhases.optimizeNs;
-    result->phases.compileNs = compiled->frontPhases.compileNs;
     CompiledPtr out = compiled;
     if (cache)
         cache->insert(key, out);
@@ -158,14 +136,8 @@ runCompiled(const CompiledPtr &compiled,
         obs::Tracer noTrace;
         obs::ScopedPhaseTimer t(&result->phases.evalNs, noTrace,
                                 "evaluate");
-        if (opts.engine == corelang::Engine::Bytecode) {
-            corelang::Vm vm(compiled->prog, opts,
-                            &compiled->module);
-            result->outcome = vm.run();
-        } else {
-            corelang::Machine machine(compiled->prog, opts);
-            result->outcome = machine.run();
-        }
+        corelang::Machine machine(compiled->prog, opts);
+        result->outcome = machine.run();
     }
     if (spec.traceDigest) {
         result->digest = digestEvents(ring.snapshot(), ring.dropped());
@@ -225,9 +197,8 @@ runCompiledWarm(const CompiledPtr &compiled,
         obs::RingBufferSink ring(kDigestRingCapacity);
         corelang::EvalOptions bopts = opts;
         bopts.memConfig.traceSink = &ring;
-        std::unique_ptr<corelang::Machine> m =
-            makeEngine(compiled, bopts);
-        std::optional<corelang::Outcome> pre = m->runPrelude();
+        corelang::Machine m(compiled->prog, bopts);
+        std::optional<corelang::Outcome> pre = m.runPrelude();
         auto built = std::make_shared<WarmEntry>();
         built->preludeEvents = ring.snapshot();
         built->preludeDropped = ring.dropped();
@@ -235,7 +206,7 @@ runCompiledWarm(const CompiledPtr &compiled,
             built->terminal = true;
             built->preludeOutcome = *pre;
         } else {
-            built->snap = m->capture();
+            built->snap = m.capture();
         }
         // Wall-clock/cancel exhaustion is not a property of the
         // program; deterministic step exhaustion would be, but the
@@ -245,7 +216,7 @@ runCompiledWarm(const CompiledPtr &compiled,
             pre->kind == corelang::Outcome::Kind::ResourceExhausted;
         if (!exhausted && warm)
             warm->insert(warmKey, built);
-        result->outcome = pre ? *pre : m->runMain();
+        result->outcome = pre ? *pre : m.runMain();
         if (spec.traceDigest) {
             result->digest =
                 digestEvents(ring.snapshot(), ring.dropped());
@@ -265,19 +236,19 @@ runCompiledWarm(const CompiledPtr &compiled,
         return;
     }
 
-    // Fork: fresh engine, O(pages-touched) restore, replay the
+    // Fork: fresh machine, O(pages-touched) restore, replay the
     // recorded prelude stream (sequence numbers restart per sink, so
     // the replayed events are byte-identical to a cold prefix), then
     // run only main().
     obs::RingBufferSink ring(kDigestRingCapacity);
     if (spec.traceDigest)
         opts.memConfig.traceSink = &ring;
-    std::unique_ptr<corelang::Machine> m = makeEngine(compiled, opts);
-    m->restoreSnapshot(entry->snap);
+    corelang::Machine m(compiled->prog, opts);
+    m.restoreSnapshot(entry->snap);
     if (spec.traceDigest)
         for (const obs::TraceEvent &e : entry->preludeEvents)
             ring.emit(e);
-    result->outcome = m->runMain();
+    result->outcome = m.runMain();
     if (spec.traceDigest) {
         result->digest = digestEvents(ring.snapshot(), ring.dropped());
         result->hasDigest = true;

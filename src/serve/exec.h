@@ -3,7 +3,7 @@
  * One request's execution: the cache-aware replacement for
  * driver::runSource().
  *
- * The front half (parse -> sema -> optimize -> bytecode-compile) is
+ * The front half (parse -> sema -> optimize) is
  * looked up in / inserted into the FrontCache; evaluation always
  * runs fresh with its own MemoryModel, optional per-request step
  * budget, wall-clock deadline and cooperative cancel flag, and an
@@ -72,8 +72,6 @@ CompiledPtr compileFront(const std::string &source,
 /** Options for one evaluation of a compiled program. */
 struct RunSpec
 {
-    /** Engine override; negative = profile default. */
-    int engineOverride = -1; // corelang::Engine when >= 0
     uint64_t maxSteps = 0;   // 0 = limits.maxSteps
     uint64_t deadlineMs = 0; // 0 = limits.deadlineMs
     bool traceDigest = false;
@@ -94,7 +92,7 @@ ExecResult runRequest(const std::string &source,
 /** Evaluate @p compiled through @p warm (keyed by @p warmKey): the
  *  first run executes globals + __prelude() once, captures the COW
  *  snapshot and serves main() from the same machine; later runs
- *  restore the snapshot into a fresh engine and execute only
+ *  restore the snapshot into a fresh machine and execute only
  *  main().  Falls back to runCompiled() when the snapshot cannot
  *  reproduce a cold run bit-for-bit (step budget tighter than the
  *  prelude, digest requested but the recorded stream wrapped). */

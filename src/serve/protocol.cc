@@ -79,8 +79,6 @@ parseRequest(const std::string &line, Request *out, std::string *err)
         out->source = v->asString();
     if (const Json *v = j.get("profile"))
         out->profile = v->asString();
-    if (const Json *v = j.get("engine"))
-        out->engine = v->asString();
     if (const Json *v = j.get("max_steps"))
         out->maxSteps = v->asU64();
     if (const Json *v = j.get("deadline_ms"))
@@ -92,12 +90,6 @@ parseRequest(const std::string &line, Request *out, std::string *err)
     if (out->op == Request::Op::Run && out->source.empty()) {
         if (err)
             *err = "run request without source";
-        return false;
-    }
-    if (out->op == Request::Op::Run && !out->engine.empty() &&
-        out->engine != "tree" && out->engine != "bytecode") {
-        if (err)
-            *err = "unknown engine '" + out->engine + "'";
         return false;
     }
     return true;
@@ -118,8 +110,6 @@ renderRequest(const Request &req)
         appendKv(out, "source", req.source, &first);
         if (!req.profile.empty())
             appendKv(out, "profile", req.profile, &first);
-        if (!req.engine.empty())
-            appendKv(out, "engine", req.engine, &first);
         if (req.maxSteps)
             appendKvU64(out, "max_steps", req.maxSteps, &first);
         if (req.deadlineMs)
@@ -168,11 +158,9 @@ Response::render() const
         char buf[160];
         std::snprintf(buf, sizeof buf,
                       "\"parse\":%" PRIu64 ",\"sema\":%" PRIu64
-                      ",\"optimize\":%" PRIu64 ",\"compile\":%" PRIu64
-                      ",\"eval\":%" PRIu64 "}",
+                      ",\"optimize\":%" PRIu64 ",\"eval\":%" PRIu64 "}",
                       phases.parseNs, phases.semaNs,
-                      phases.optimizeNs, phases.compileNs,
-                      phases.evalNs);
+                      phases.optimizeNs, phases.evalNs);
         out += buf;
         appendKvU64(out, "queue_ns", queueNs, &first);
         appendKvU64(out, "total_ns", totalNs, &first);
@@ -242,8 +230,6 @@ parseResponse(const std::string &line, Response *out,
             out->phases.semaNs = f->asU64();
         if (const Json *f = v->get("optimize"))
             out->phases.optimizeNs = f->asU64();
-        if (const Json *f = v->get("compile"))
-            out->phases.compileNs = f->asU64();
         if (const Json *f = v->get("eval"))
             out->phases.evalNs = f->asU64();
     }

@@ -6,23 +6,22 @@
  * Requests:
  *
  *     {"op":"run","id":"r1","source":"int main(void){return 7;}",
- *      "profile":"cerberus","engine":"bytecode",
+ *      "profile":"cerberus",
  *      "max_steps":1000000,"deadline_ms":2000,
  *      "trace_digest":true,"output":false}
  *     {"op":"stats","id":"s1"}
  *     {"op":"shutdown","id":"q1"}
  *
  * Only "op" and, for run, "source" are required.  "profile" defaults
- * to the reference profile; "engine" (tree|bytecode) defaults to the
- * profile's engine; zero/missing budgets inherit the server
- * defaults.
+ * to the reference profile; zero/missing budgets inherit the server
+ * defaults.  Unknown keys are ignored.
  *
  * Responses (matched to requests by "id", which is echoed verbatim):
  *
  *     {"id":"r1","verdict":"exit","exit_code":7,"cached":false,
  *      "steps":3,"loads":0,"stores":1,
  *      "phase_ns":{"parse":...,"sema":...,"optimize":...,
- *                  "compile":...,"eval":...},
+ *                  "eval":...},
  *      "trace_digest":"fnv1a:0123456789abcdef","output":""}
  *
  * verdict is one of exit | ub | assert-fail | error |
@@ -49,8 +48,6 @@ struct Request
     std::string source;
     /** Profile name; empty = reference profile. */
     std::string profile;
-    /** "tree" / "bytecode"; empty = profile default. */
-    std::string engine;
     /** 0 = server default. */
     uint64_t maxSteps = 0;
     /** Wall-clock budget; 0 = server default. */

@@ -90,12 +90,6 @@ Server::execute(const Request &req, uint64_t queueNs)
     }
 
     RunSpec spec;
-    if (req.engine == "tree")
-        spec.engineOverride =
-            static_cast<int>(corelang::Engine::Tree);
-    else if (req.engine == "bytecode")
-        spec.engineOverride =
-            static_cast<int>(corelang::Engine::Bytecode);
     spec.maxSteps = req.maxSteps;
     spec.deadlineMs = req.deadlineMs;
     spec.traceDigest = req.traceDigest;

@@ -4,14 +4,14 @@
  *
  * A Server owns the three concurrency pieces — FrontCache,
  * WorkerPool, Metrics — and turns protocol Requests into Responses.
- * Every run executes on a worker with its own Machine/Vm and
+ * Every run executes on a worker with its own Machine and
  * MemoryModel over the shared immutable CompiledProgram, under the
  * server's step budget, per-request wall-clock deadline, and the
  * server-wide cancel flag; a hostile program therefore costs at
  * most one deadline of one worker's time and unwinds cleanly as a
  * "resource-exhausted" verdict.
  *
- * Two frontends share this engine: runBatch() (one-shot NDJSON
+ * Two frontends share this server: runBatch() (one-shot NDJSON
  * file/stream mode — what tests and CI drive, no networking
  * needed) and the socket listener in serve/net.h used by
  * examples/cherisem_serve.cpp.

@@ -9,7 +9,7 @@
  * Machine::Snapshot whose store pages are refcounted COW pages, so
  * capturing and restoring cost O(pages touched), not O(footprint).
  * The first request for a program pays the prelude once ("warm
- * build"); every repeat forks the snapshot into a fresh engine and
+ * build"); every repeat forks the snapshot into a fresh machine and
  * runs only main() ("warm hit").  Snapshots reference AST nodes of
  * their own program, which is why the cache is keyed by the combined
  * (prelude + source, profile) pair and never shared across programs.

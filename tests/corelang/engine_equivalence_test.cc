@@ -1,27 +1,47 @@
 /**
  * @file
- * Tree-walker vs bytecode VM equivalence over the annotated corpus.
+ * Cold vs warm entry into the engine, over the annotated corpus.
  *
- * The bytecode engine is an implementation detail *below* the
- * semantics (the compiler and VM reuse every semantic rule of the
- * tree walker), so for every suite program, under both store
- * backends, the two engines must agree bit-for-bit:
+ * The machine can be entered two ways: cold, through evaluate()
+ * (globals, __prelude() and main() in one run), or warm, by running
+ * the prelude once, capturing the quiescent fork point, and
+ * restoring that snapshot into a fresh machine that runs only
+ * main() — the path behind warm serving and the fuzz fork driver.
+ * Forking must be invisible, so for every suite program, under both
+ * store backends, the two entries must agree bit-for-bit:
  *
  *  - the same Outcome (summary string, program output, exit path);
  *  - the same step count and memory-model counters;
- *  - the *identical* witness event stream, addresses included
- *    (obs::diffEngines compares un-normalised events).
+ *  - the *identical* witness event stream, addresses included (the
+ *    warm stream is the build run's recorded prefix followed by
+ *    main()'s own events, exactly as warm serving replays it).
  *
- * This is the deterministic counterpart of the fuzz harness's engine
- * axis (fuzz::RunnerOptions::engineAxis).
+ * The suite files define no __prelude, so here the fork point sits
+ * right after global initialisation: the snapshot carries the
+ * initialised globals, string literals and heap into main().
+ *
+ * A program whose prelude terminates (UB in a global initialiser,
+ * exit() in __prelude) has no fork point; its warm outcome is the
+ * prelude's, as in serve::WarmEntry::terminal.
  */
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "corelang/eval.h"
+#include "corelang/machine.h"
+#include "corelang/optimize.h"
 #include "driver/suite.h"
-#include "obs/differential.h"
+#include "frontend/parser.h"
+#include "obs/sinks.h"
+#include "obs/trace_diff.h"
+#include "sema/sema.h"
 
 namespace cherisem::driver {
 namespace {
+
+using corelang::Machine;
+using corelang::Outcome;
 
 const std::vector<SuiteTest> &
 suite()
@@ -30,32 +50,82 @@ suite()
     return tests;
 }
 
-/** Assert the engine pair agreed on everything observable. */
-void
-expectEnginesAgree(const SuiteTest &t, const Profile &profile)
+/** Parse, analyse and optimise @p t under @p profile, as runSource
+ *  does. */
+sema::Program
+compile(const SuiteTest &t, const Profile &profile)
 {
-    obs::DifferentialResult r = obs::diffEngines(t.source, profile);
-    const corelang::Outcome &tree = r.left.outcome;
-    const corelang::Outcome &vm = r.right.outcome;
+    frontend::TranslationUnit unit = frontend::parse(t.source, t.path);
+    ctype::MachineLayout machine{profile.memConfig.arch->capSize(),
+                                 profile.memConfig.arch->addrBits() / 8};
+    sema::Program prog = sema::analyze(std::move(unit), machine);
+    corelang::optimize(prog, profile.optims);
+    return prog;
+}
 
-    EXPECT_FALSE(r.truncated) << t.path << ": ring overflow";
-    EXPECT_EQ(r.left.summary(), r.right.summary()) << t.path;
-    EXPECT_EQ(tree.output, vm.output) << t.path;
-    EXPECT_EQ(tree.steps, vm.steps) << t.path;
-    EXPECT_EQ(tree.memStats.loads, vm.memStats.loads) << t.path;
-    EXPECT_EQ(tree.memStats.stores, vm.memStats.stores) << t.path;
-    EXPECT_EQ(tree.memStats.allocations, vm.memStats.allocations)
+/** Assert the cold and warm entries agreed on everything
+ *  observable. */
+void
+expectWarmMatchesCold(const SuiteTest &t, const Profile &profile)
+{
+    sema::Program prog;
+    ASSERT_NO_THROW(prog = compile(t, profile)) << t.path;
+    const corelang::EvalOptions opts = profile.evalOptions();
+    constexpr size_t kRing = 1 << 17;
+
+    obs::RingBufferSink coldRing(kRing);
+    corelang::EvalOptions co = opts;
+    co.memConfig.traceSink = &coldRing;
+    Outcome cold = corelang::evaluate(prog, co);
+
+    // Build: globals + __prelude() once, fork at the quiescent point.
+    obs::RingBufferSink buildRing(kRing);
+    corelang::EvalOptions bo = opts;
+    bo.memConfig.traceSink = &buildRing;
+    Machine builder(prog, bo);
+    std::optional<Outcome> pre = builder.runPrelude();
+    Machine::SnapshotPtr snap;
+    if (!pre)
+        snap = builder.capture();
+    std::vector<obs::TraceEvent> preludeEvents = buildRing.snapshot();
+
+    obs::RingBufferSink warmRing(kRing);
+    Outcome warm;
+    if (pre) {
+        warm = *pre;
+        for (const obs::TraceEvent &e : preludeEvents)
+            warmRing.emit(e);
+    } else {
+        corelang::EvalOptions wo = opts;
+        wo.memConfig.traceSink = &warmRing;
+        Machine m(prog, wo);
+        m.restoreSnapshot(snap);
+        for (const obs::TraceEvent &e : preludeEvents)
+            warmRing.emit(e); // re-stamped 0..P-1, the cold prefix
+        warm = m.runMain();
+    }
+
+    EXPECT_EQ(coldRing.dropped(), 0u) << t.path << ": ring overflow";
+    EXPECT_EQ(buildRing.dropped(), 0u) << t.path << ": ring overflow";
+    EXPECT_EQ(warm.summary(), cold.summary()) << t.path;
+    EXPECT_EQ(warm.output, cold.output) << t.path;
+    EXPECT_EQ(warm.steps, cold.steps) << t.path;
+    EXPECT_EQ(warm.memStats.loads, cold.memStats.loads) << t.path;
+    EXPECT_EQ(warm.memStats.stores, cold.memStats.stores) << t.path;
+    EXPECT_EQ(warm.memStats.allocations, cold.memStats.allocations)
         << t.path;
-    EXPECT_EQ(tree.memStats.kills, vm.memStats.kills) << t.path;
-    EXPECT_EQ(tree.memStats.ghostTagInvalidations,
-              vm.memStats.ghostTagInvalidations)
+    EXPECT_EQ(warm.memStats.kills, cold.memStats.kills) << t.path;
+    EXPECT_EQ(warm.memStats.ghostTagInvalidations,
+              cold.memStats.ghostTagInvalidations)
         << t.path;
-    EXPECT_EQ(tree.memStats.hardTagInvalidations,
-              vm.memStats.hardTagInvalidations)
+    EXPECT_EQ(warm.memStats.hardTagInvalidations,
+              cold.memStats.hardTagInvalidations)
         << t.path;
-    EXPECT_EQ(tree.intrinsicCalls, vm.intrinsicCalls) << t.path;
-    EXPECT_TRUE(r.diff.equivalent)
-        << t.path << ": " << r.diff.summary();
+    EXPECT_EQ(warm.intrinsicCalls, cold.intrinsicCalls) << t.path;
+
+    obs::DiffResult d = obs::diffEventStreams(
+        warmRing.snapshot(), coldRing.snapshot(), obs::DiffOptions{});
+    EXPECT_TRUE(d.equivalent) << t.path << ": " << d.summary();
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<size_t>
@@ -65,14 +135,14 @@ TEST_P(EngineEquivalence, MapStore)
 {
     Profile p = referenceProfile();
     p.memConfig.storeBackend = mem::StoreBackend::Map;
-    expectEnginesAgree(suite()[GetParam()], p);
+    expectWarmMatchesCold(suite()[GetParam()], p);
 }
 
 TEST_P(EngineEquivalence, PagedStore)
 {
     Profile p = referenceProfile();
     p.memConfig.storeBackend = mem::StoreBackend::Paged;
-    expectEnginesAgree(suite()[GetParam()], p);
+    expectWarmMatchesCold(suite()[GetParam()], p);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,8 +158,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /** The hardware profiles stress different machine configurations
- *  (no ghost state, different allocators, CHERIoT format); spot
- *  check the engine pair under each of them too. */
+ *  (no ghost state, different allocators, CHERIoT format, temporal
+ *  revocation); spot check the cold/warm pair under each of them
+ *  too. */
 TEST(EngineEquivalence, AllProfilesSpotCheck)
 {
     const std::vector<SuiteTest> &tests = suite();
@@ -97,7 +168,7 @@ TEST(EngineEquivalence, AllProfilesSpotCheck)
     for (const Profile &p : allProfiles()) {
         // A cheap but meaningful slice: every 16th test.
         for (size_t i = 0; i < tests.size(); i += 16)
-            expectEnginesAgree(tests[i], p);
+            expectWarmMatchesCold(tests[i], p);
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine-level snapshot/restore and time-travel replay primitives.
+ * Machine-level snapshot/restore and time-travel replay primitives.
  *
  * Three layers, bottom up:
  *
@@ -11,8 +11,7 @@
  *  - Machine::capture()/restoreSnapshot() — forking a quiescent
  *    post-prelude state must be invisible: a warm run (restore +
  *    runMain) agrees bit-for-bit with a cold run (run()), outcome,
- *    output, step count, and witness stream included, on both
- *    engines;
+ *    output, step count, and witness stream included;
  *
  *  - pokeGlobalInt — the fork-fuzzing variant injection point.
  *
@@ -24,7 +23,6 @@
 
 #include "corelang/eval.h"
 #include "corelang/machine.h"
-#include "corelang/vm.h"
 #include "driver/profiles.h"
 #include "frontend/parser.h"
 #include "obs/replay.h"
@@ -105,7 +103,7 @@ TEST(SnapshotIndex, NearestAtOrBefore)
 }
 
 // ---------------------------------------------------------------------
-// Machine-level capture/restore: warm == cold, on both engines.
+// Machine-level capture/restore: warm == cold.
 // ---------------------------------------------------------------------
 
 /** A program whose prelude does real work (heap, globals, caps) so
@@ -144,24 +142,10 @@ analyze(const std::string &src)
     return sema::analyze(std::move(unit), machine);
 }
 
-std::unique_ptr<Machine>
-makeEngine(const sema::Program &prog, const EvalOptions &opts,
-           const BytecodeModule *module)
-{
-    if (opts.engine == Engine::Bytecode)
-        return std::make_unique<Vm>(prog, opts, module);
-    return std::make_unique<Machine>(prog, opts);
-}
-
-void
-expectWarmMatchesCold(Engine engine)
+TEST(MachineSnapshot, WarmMatchesColdTreeWalker)
 {
     sema::Program prog = analyze(kWarmSource);
-    BytecodeModule module;
-    if (engine == Engine::Bytecode)
-        module = compileProgram(prog);
     EvalOptions opts = driver::referenceProfile().evalOptions();
-    opts.engine = engine;
 
     // Cold reference run, traced.
     obs::RingBufferSink coldRing;
@@ -169,7 +153,7 @@ expectWarmMatchesCold(Engine engine)
     {
         EvalOptions o = opts;
         o.memConfig.traceSink = &coldRing;
-        cold = makeEngine(prog, o, &module)->run();
+        cold = Machine(prog, o).run();
     }
     ASSERT_EQ(cold.kind, Outcome::Kind::Exit);
     EXPECT_EQ(cold.exitCode, 0);
@@ -182,11 +166,11 @@ expectWarmMatchesCold(Engine engine)
     {
         EvalOptions o = opts;
         o.memConfig.traceSink = &buildRing;
-        std::unique_ptr<Machine> m = makeEngine(prog, o, &module);
-        std::optional<Outcome> pre = m->runPrelude();
+        Machine m(prog, o);
+        std::optional<Outcome> pre = m.runPrelude();
         ASSERT_FALSE(pre.has_value())
             << "prelude terminated: " << pre->summary();
-        snap = m->capture();
+        snap = m.capture();
         preludeEvents = buildRing.snapshot();
     }
 
@@ -196,11 +180,11 @@ expectWarmMatchesCold(Engine engine)
         obs::RingBufferSink warmRing;
         EvalOptions o = opts;
         o.memConfig.traceSink = &warmRing;
-        std::unique_ptr<Machine> m = makeEngine(prog, o, &module);
-        m->restoreSnapshot(snap);
+        Machine m(prog, o);
+        m.restoreSnapshot(snap);
         for (const obs::TraceEvent &e : preludeEvents)
             warmRing.emit(e); // re-stamped 0..P-1, cold prefix
-        Outcome warm = m->runMain();
+        Outcome warm = m.runMain();
 
         EXPECT_EQ(warm.summary(), cold.summary()) << "fork " << fork;
         EXPECT_EQ(warm.output, cold.output) << "fork " << fork;
@@ -214,16 +198,6 @@ expectWarmMatchesCold(Engine engine)
         EXPECT_TRUE(d.equivalent)
             << "fork " << fork << ": " << d.summary();
     }
-}
-
-TEST(MachineSnapshot, WarmMatchesColdTreeWalker)
-{
-    expectWarmMatchesCold(Engine::Tree);
-}
-
-TEST(MachineSnapshot, WarmMatchesColdBytecodeVm)
-{
-    expectWarmMatchesCold(Engine::Bytecode);
 }
 
 TEST(MachineSnapshot, PokeGlobalIntForksVariants)

@@ -1,6 +1,7 @@
 /**
  * @file
- * mem::memStatsJson (the `cherisem_run --stats-json` payload): the
+ * mem::memStatsJson (the `cherisem_run --stats-json` payload, schema
+ * "cherisem-stats-v2"): the
  * rendered document must parse with the serving layer's JSON parser
  * and carry every counter group — semantic, heap (with the active
  * allocator's name, including the slab-reclamation counters), store,
@@ -67,11 +68,14 @@ TEST(StatsJson, IndentEmbedsInsideALargerDocument)
     MemStats zero;
     std::string inner =
         memStatsJson(zero, HeapAllocatorKind::FirstFit, "  ");
-    std::string doc = "{\n  \"mem\":\n" + inner + "\n}";
+    // The shape of one cherisem-stats-v2 "runs" entry.
+    std::string doc = "{\n  \"profile\": \"cerberus\",\n  \"mem\":\n" +
+        inner + "\n}";
     serve::Json parsed;
     std::string err;
     ASSERT_TRUE(serve::parseJson(doc, &parsed, &err)) << err << "\n"
                                                       << doc;
+    EXPECT_EQ(parsed.get("engine"), nullptr);
     const serve::Json *mem = parsed.get("mem");
     ASSERT_NE(mem, nullptr);
     EXPECT_EQ(mem->get("heap")->get("allocator")->asString(),

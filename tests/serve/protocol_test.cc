@@ -108,7 +108,6 @@ TEST(Protocol, RequestRoundTrip)
     req.id = "r-1";
     req.source = "int main(void){return 0;}\n";
     req.profile = "gcc-morello-O2";
-    req.engine = "tree";
     req.maxSteps = 12345;
     req.deadlineMs = 678;
     req.traceDigest = true;
@@ -121,7 +120,6 @@ TEST(Protocol, RequestRoundTrip)
     EXPECT_EQ(back.id, req.id);
     EXPECT_EQ(back.source, req.source);
     EXPECT_EQ(back.profile, req.profile);
-    EXPECT_EQ(back.engine, req.engine);
     EXPECT_EQ(back.maxSteps, req.maxSteps);
     EXPECT_EQ(back.deadlineMs, req.deadlineMs);
     EXPECT_TRUE(back.traceDigest);
@@ -137,11 +135,18 @@ TEST(Protocol, RequestDefaults)
         << err;
     EXPECT_EQ(req.op, Request::Op::Run);
     EXPECT_TRUE(req.profile.empty());
-    EXPECT_TRUE(req.engine.empty());
     EXPECT_EQ(req.maxSteps, 0u);
     EXPECT_EQ(req.deadlineMs, 0u);
     EXPECT_FALSE(req.traceDigest);
     EXPECT_TRUE(req.wantOutput);
+
+    // Unknown keys are ignored, including the retired "engine" key
+    // that older clients still send.
+    ASSERT_TRUE(parseRequest("{\"source\":\"int main(void){}\","
+                             "\"engine\":\"tree\",\"x\":1}",
+                             &req, &err))
+        << err;
+    EXPECT_EQ(req.op, Request::Op::Run);
 }
 
 TEST(Protocol, RequestRejectsBadInput)
@@ -178,7 +183,6 @@ TEST(Protocol, ResponseRoundTripExit)
     resp.phases.parseNs = 10;
     resp.phases.semaNs = 20;
     resp.phases.optimizeNs = 30;
-    resp.phases.compileNs = 40;
     resp.phases.evalNs = 50;
     resp.queueNs = 5;
     resp.totalNs = 160;
@@ -186,9 +190,15 @@ TEST(Protocol, ResponseRoundTripExit)
     resp.output = "hello\n";
     resp.hasOutput = true;
 
+    std::string line = resp.render();
+    EXPECT_NE(line.find("\"phase_ns\":{\"parse\":10,\"sema\":20,"
+                        "\"optimize\":30,\"eval\":50}"),
+              std::string::npos)
+        << line;
+
     Response back;
     std::string err;
-    ASSERT_TRUE(parseResponse(resp.render(), &back, &err)) << err;
+    ASSERT_TRUE(parseResponse(line, &back, &err)) << err;
     EXPECT_EQ(back.id, "r-1");
     EXPECT_EQ(back.verdict, "exit");
     EXPECT_EQ(back.exitCode, -7);
