@@ -5,8 +5,8 @@
  * executable semantics, section 7).
  *
  *   cherisem_run file.c [--profile NAME] [--all] [--stats]
- *                       [--stats-json PATH] [--bench-repeat N]
- *                       [--trace=<sink>[:<arg>]] [--replay-to SEQ]
+ *                       [--stats-json PATH] [--trace=<sink>[:<arg>]]
+ *                       [--replay-to SEQ] [--list]
  *
  * --stats-json PATH writes the --stats counters (MemStats with the
  * heap-allocator and revocation mirrors) as a machine-readable JSON
@@ -30,10 +30,9 @@
  * around SEQ are printed.  With a __prelude()-shaped program and a
  * target past the prelude this touches only the pages main() dirties.
  *
- * --bench-repeat N compiles once and re-runs evaluation N times,
- * reporting the minimum and mean evaluation time.
+ * An unknown --option, a second input file, or a missing or
+ * non-numeric option value prints the usage text and exits 2.
  */
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,8 +59,8 @@ namespace corelang = cherisem::corelang;
 namespace {
 
 /** Parse/analyse/optimise under @p p; false (with a message on
- *  stderr) on a frontend error.  The bench and replay modes need
- *  the Core program itself, which runSource() never exposes. */
+ *  stderr) on a frontend error.  The replay mode needs the Core
+ *  program itself, which runSource() never exposes. */
 bool
 compileFrontend(const std::string &src, const Profile &p,
                 const std::string &file,
@@ -84,38 +83,6 @@ compileFrontend(const std::string &src, const Profile &p,
         return false;
     }
     return true;
-}
-
-/** --bench-repeat N: compile once, evaluate N times, report the
- *  minimum evaluation time (matching bench/micro_interp.cpp). */
-int
-benchRepeat(const std::string &src, Profile p,
-            const std::string &file, int reps)
-{
-    std::optional<cherisem::sema::Program> prog;
-    if (!compileFrontend(src, p, file, &prog))
-        return 2;
-    corelang::EvalOptions opts = p.evalOptions();
-    corelang::Outcome outcome;
-    uint64_t minNs = ~0ull, totalNs = 0;
-    for (int i = 0; i < reps; ++i) {
-        auto t0 = std::chrono::steady_clock::now();
-        corelang::Machine machine(*prog, opts);
-        outcome = machine.run();
-        auto t1 = std::chrono::steady_clock::now();
-        uint64_t ns = (uint64_t)std::chrono::duration_cast<
-                          std::chrono::nanoseconds>(t1 - t0)
-                          .count();
-        minNs = ns < minNs ? ns : minNs;
-        totalNs += ns;
-    }
-    printf("[%s] %s\n", p.name.c_str(), outcome.summary().c_str());
-    printf("  reps=%d eval-min=%lluns eval-mean=%lluns\n", reps,
-           (unsigned long long)minNs,
-           (unsigned long long)(totalNs / (uint64_t)reps));
-    return outcome.kind == corelang::Outcome::Kind::Exit
-               ? outcome.exitCode
-               : 1;
 }
 
 /** --replay-to SEQ: record a traced run (capturing the post-prelude
@@ -345,6 +312,28 @@ runOne(const std::string &src, Profile p, const std::string &file,
                : 1;
 }
 
+const char kUsage[] =
+    "usage: cherisem_run file.c [--profile NAME] [--all] "
+    "[--replay-to SEQ] [--stats] [--stats-json PATH] "
+    "[--trace=<sink>[:<arg>]] [--list]\n";
+
+/** The value of option @p name at argv[*i], spelled "--name VALUE" or
+ *  "--name=VALUE"; advances *i past a separate value.  nullopt when
+ *  argv[*i] is some other argument; "" when the value is missing. */
+std::optional<std::string>
+optionValue(int argc, char **argv, int *i, const char *name)
+{
+    size_t n = std::strlen(name);
+    const char *arg = argv[*i];
+    if (std::strncmp(arg, name, n) != 0)
+        return std::nullopt;
+    if (arg[n] == '=')
+        return std::string(arg + n + 1);
+    if (arg[n] != '\0')
+        return std::nullopt;
+    return *i + 1 < argc ? std::string(argv[++*i]) : std::string();
+}
+
 } // namespace
 
 int
@@ -356,50 +345,52 @@ main(int argc, char **argv)
     std::string statsJsonPath;
     bool all = false;
     bool verbose = false;
-    int benchReps = 0;
+    bool list = false;
     bool haveReplay = false;
     uint64_t replayTo = 0;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--profile") && i + 1 < argc) {
-            profile = argv[++i];
-        } else if (!std::strcmp(argv[i], "--all")) {
-            all = true;
-        } else if (!std::strcmp(argv[i], "--bench-repeat") &&
-                   i + 1 < argc) {
-            benchReps = std::atoi(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--replay-to") &&
-                   i + 1 < argc) {
+        std::optional<std::string> v;
+        bool ok = true;
+        if ((v = optionValue(argc, argv, &i, "--profile"))) {
+            ok = !v->empty();
+            profile = *v;
+        } else if ((v = optionValue(argc, argv, &i, "--replay-to"))) {
+            ok = !v->empty() &&
+                 v->find_first_not_of("0123456789") == std::string::npos;
             haveReplay = true;
-            replayTo = std::strtoull(argv[++i], nullptr, 10);
-        } else if (!std::strncmp(argv[i], "--replay-to=", 12)) {
-            haveReplay = true;
-            replayTo = std::strtoull(argv[i] + 12, nullptr, 10);
+            replayTo = std::strtoull(v->c_str(), nullptr, 10);
+        } else if ((v = optionValue(argc, argv, &i, "--stats-json"))) {
+            ok = !v->empty();
+            statsJsonPath = *v;
+        } else if (!std::strncmp(argv[i], "--trace=", 8)) {
+            traceSpec = argv[i] + 8;
+            ok = !traceSpec.empty();
         } else if (!std::strcmp(argv[i], "--trace") ||
                    !std::strcmp(argv[i], "--stats")) {
             // Bare --trace is kept as the old stats-only spelling.
             verbose = true;
-        } else if (!std::strcmp(argv[i], "--stats-json") &&
-                   i + 1 < argc) {
-            statsJsonPath = argv[++i];
-        } else if (!std::strncmp(argv[i], "--stats-json=", 13)) {
-            statsJsonPath = argv[i] + 13;
-        } else if (!std::strncmp(argv[i], "--trace=", 8)) {
-            traceSpec = argv[i] + 8;
+        } else if (!std::strcmp(argv[i], "--all")) {
+            all = true;
         } else if (!std::strcmp(argv[i], "--list")) {
-            for (const Profile &p : allProfiles())
-                printf("%-20s %s\n", p.name.c_str(),
-                       p.description.c_str());
-            return 0;
+            list = true;
         } else {
+            // An unknown option, or a second input file.
+            ok = argv[i][0] != '-' && file.empty();
             file = argv[i];
         }
+        if (!ok) {
+            fprintf(stderr, "cherisem_run: bad argument '%s'\n%s",
+                    argv[i], kUsage);
+            return 2;
+        }
+    }
+    if (list) {
+        for (const Profile &p : allProfiles())
+            printf("%-20s %s\n", p.name.c_str(), p.description.c_str());
+        return 0;
     }
     if (file.empty()) {
-        fprintf(stderr,
-                "usage: cherisem_run file.c [--profile NAME] [--all] "
-                "[--bench-repeat N] [--replay-to SEQ] [--stats] "
-                "[--stats-json PATH] "
-                "[--trace=<sink>[:<arg>]] [--list]\n");
+        fputs(kUsage, stderr);
         return 2;
     }
     if (haveReplay && all) {
@@ -443,9 +434,7 @@ main(int argc, char **argv)
             return 2;
         }
         const Profile &p = *found;
-        if (benchReps > 0)
-            rc = benchRepeat(ss.str(), p, file, benchReps);
-        else if (haveReplay)
+        if (haveReplay)
             rc = replayRun(ss.str(), p, file, replayTo, sink.get());
         else
             rc = runOne(ss.str(), p, file, verbose, sink.get(),

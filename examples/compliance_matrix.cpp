@@ -11,6 +11,7 @@
  * clearing, temporal safety, strict ISO arithmetic, provenance
  * checks, and optimisation effects.
  */
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -26,8 +27,13 @@ main()
     printf("Section 5: per-implementation compliance over %zu suite "
            "tests\n\n",
            tests.size());
-    printf("%-20s %8s %8s %10s  %s\n", "profile", "match", "diverge",
-           "frontend", "top divergence categories");
+    // The profile column fits the longest name (the *-quarantine-slab
+    // and *-subobject-safe rows run to 32 characters).
+    int width = 0;
+    for (const Profile &p : allProfiles())
+        width = std::max(width, static_cast<int>(p.name.size()));
+    printf("%-*s %8s %8s %10s  %s\n", width, "profile", "match",
+           "diverge", "frontend", "top divergence categories");
 
     for (const Profile &p : allProfiles()) {
         int match = 0;
@@ -71,7 +77,7 @@ main()
             tops += best.substr(0, 34) + "(" +
                 std::to_string(best_n) + ")";
         }
-        printf("%-20s %8d %8d %10d  %s\n", p.name.c_str(), match,
+        printf("%-*s %8d %8d %10d  %s\n", width, p.name.c_str(), match,
                diverge, fe, tops.c_str());
     }
 

@@ -32,7 +32,8 @@ struct OptimizeOptions
     bool loopsToMemcpy = false;
 };
 
-/** Statistics about what the passes did (for the ablation bench). */
+/** What the passes did: returned in driver::RunResult and the serve
+ *  cache entry, and summed by perfbench as optimize.rewrites. */
 struct OptimizeStats
 {
     unsigned foldedArith = 0;

@@ -134,6 +134,28 @@ int main(void)
 }
 )";
 
+/** 256 KiB global table + 64 KiB heap buffer, both filled by the
+ *  prelude; main() reads a handful of entries.  The shape every warm
+ *  workload shares: a heavy shared prefix, a light per-request tail. */
+const char *kHeavyPreludeSource = R"(int table[65536];
+int *heap;
+void __prelude(void) {
+    int i;
+    for (i = 0; i < 65536; i++) table[i] = i * 3;
+    heap = (int *)malloc(16384 * sizeof(int));
+    for (i = 0; i < 16384; i++) heap[i] = table[i * 4];
+}
+int main(void) {
+    long sum = 0;
+    int i;
+    for (i = 0; i < 64; i++) sum += table[i * 1024] + heap[i * 256];
+    return (int)(sum % 256);
+}
+)";
+
+/** Holds every event of either program's cold run. */
+constexpr size_t kRingCapacity = size_t(1) << 20;
+
 sema::Program
 analyze(const std::string &src)
 {
@@ -142,28 +164,36 @@ analyze(const std::string &src)
     return sema::analyze(std::move(unit), machine);
 }
 
-TEST(MachineSnapshot, WarmMatchesColdTreeWalker)
+/** Every warm fork of @p source's prelude snapshot replays its cold
+ *  run exactly: outcome, output, steps, memory counters and the
+ *  un-normalised event stream with the prelude's events re-emitted. */
+void
+checkWarmMatchesCold(const char *source)
 {
-    sema::Program prog = analyze(kWarmSource);
+    SCOPED_TRACE(source == kWarmSource ? "kWarmSource"
+                                       : "kHeavyPreludeSource");
+    sema::Program prog = analyze(source);
     EvalOptions opts = driver::referenceProfile().evalOptions();
 
     // Cold reference run, traced.
-    obs::RingBufferSink coldRing;
     Outcome cold;
+    std::vector<obs::TraceEvent> coldEvents;
     {
+        obs::RingBufferSink coldRing(kRingCapacity);
         EvalOptions o = opts;
         o.memConfig.traceSink = &coldRing;
         cold = Machine(prog, o).run();
+        ASSERT_EQ(coldRing.dropped(), 0u);
+        coldEvents = coldRing.snapshot();
     }
     ASSERT_EQ(cold.kind, Outcome::Kind::Exit);
     EXPECT_EQ(cold.exitCode, 0);
-    ASSERT_EQ(coldRing.dropped(), 0u);
 
     // Warm build: run the prelude once, fork at the quiescent point.
-    obs::RingBufferSink buildRing;
     Machine::SnapshotPtr snap;
     std::vector<obs::TraceEvent> preludeEvents;
     {
+        obs::RingBufferSink buildRing(kRingCapacity);
         EvalOptions o = opts;
         o.memConfig.traceSink = &buildRing;
         Machine m(prog, o);
@@ -173,11 +203,19 @@ TEST(MachineSnapshot, WarmMatchesColdTreeWalker)
         snap = m.capture();
         preludeEvents = buildRing.snapshot();
     }
+    if (source == kHeavyPreludeSource) {
+        // The fixture's shape: main runs at most a tenth of the
+        // prelude's steps, so a warm run that redid the prelude would
+        // show in the steps and events compared below.
+        EXPECT_LE((cold.steps - snap->steps) * 10, snap->steps)
+            << "main " << cold.steps - snap->steps << " vs prelude "
+            << snap->steps;
+    }
 
     // Two warm forks of the same snapshot: each must reproduce the
     // cold run exactly (the snapshot is not consumed by restoring).
     for (int fork = 0; fork < 2; ++fork) {
-        obs::RingBufferSink warmRing;
+        obs::RingBufferSink warmRing(kRingCapacity);
         EvalOptions o = opts;
         o.memConfig.traceSink = &warmRing;
         Machine m(prog, o);
@@ -193,11 +231,17 @@ TEST(MachineSnapshot, WarmMatchesColdTreeWalker)
         EXPECT_EQ(warm.memStats.stores, cold.memStats.stores);
 
         obs::DiffResult d = obs::diffEventStreams(
-            warmRing.snapshot(), coldRing.snapshot(),
+            warmRing.snapshot(), coldEvents,
             obs::DiffOptions{});
         EXPECT_TRUE(d.equivalent)
             << "fork " << fork << ": " << d.summary();
     }
+}
+
+TEST(MachineSnapshot, WarmMatchesColdTreeWalker)
+{
+    for (const char *source : {kWarmSource, kHeavyPreludeSource})
+        checkWarmMatchesCold(source);
 }
 
 TEST(MachineSnapshot, PokeGlobalIntForksVariants)

@@ -382,6 +382,41 @@ TEST(SizeclassModelTest, SlabFreelistIsLifoPerClass)
     EXPECT_NE(e.address(), b.address());
 }
 
+TEST(SizeclassModelTest, FragmentedChurnPopsItsOwnClassFreelist)
+{
+    // 1,024 freed 16-byte fragments fill another class's freelist; a
+    // 64-byte malloc/free churn must still be served wholly from its
+    // own class: every malloc reuses the slot just freed (LIFO, no
+    // fragment taken or split) and no slab is carved.  Placement and
+    // counts only: an O(n) scan that still pops the same slot passes.
+    MemoryModel::Config cfg;
+    cfg.heapAllocator = HeapAllocatorKind::Sizeclass;
+    MemoryModel mm(cfg);
+    std::vector<PointerValue> fragments;
+    for (int i = 0; i < 1024; ++i)
+        fragments.push_back(mm.allocateRegion("malloc", 16, 16).value());
+    // A live sentinel after the fragments, then free every fragment.
+    auto pin = mm.allocateRegion("malloc", 64, 16).value();
+    (void)pin;
+    for (const PointerValue &f : fragments)
+        ASSERT_TRUE(mm.kill({}, true, f).ok());
+    auto first = mm.allocateRegion("malloc", 64, 16).value();
+    ASSERT_TRUE(mm.kill({}, true, first).ok());
+
+    constexpr uint64_t kChurn = 1000;
+    HeapStats before = mm.stats().heap;
+    for (uint64_t i = 0; i < kChurn; ++i) {
+        auto p = mm.allocateRegion("malloc", 64, 16).value();
+        ASSERT_EQ(p.address(), first.address()) << "churn op " << i;
+        ASSERT_TRUE(mm.kill({}, true, p).ok());
+    }
+    const HeapStats &after = mm.stats().heap;
+    EXPECT_EQ(after.mallocCalls - before.mallocCalls, kChurn);
+    EXPECT_EQ(after.reuses - before.reuses, kChurn);
+    EXPECT_EQ(after.bumps, before.bumps);
+    EXPECT_EQ(after.slabsCarved, before.slabsCarved);
+}
+
 TEST(SizeclassModelTest, QuarantinedSlotStaysOutOfSlabFreelist)
 {
     MemoryModel::Config cfg;

@@ -230,6 +230,49 @@ TEST(ModelSnapshot, RestoreIsBitIdentical)
     EXPECT_EQ(again.address(), extra.address());
 }
 
+TEST(ModelSnapshot, RestoredRunClonesOnlyThePagesItWrites)
+{
+    // The model-level twin of PagedCow.ClonesOnlyTouchedPages, and the
+    // count warm serving and fork fuzzing rest on: a run forked from a
+    // snapshot copies exactly the pages it writes and shares the rest,
+    // never deep-copying the store.
+    MemoryModel::Config cfg;
+    ASSERT_EQ(cfg.storeBackend, StoreBackend::Paged);
+    MemoryModel mm(cfg);
+    const auto *paged = dynamic_cast<const PagedStore *>(&mm.store());
+    ASSERT_NE(paged, nullptr);
+    TypeRef longTy = intType(IntKind::Long);
+    constexpr uint64_t kPage = PagedStore::kPageBytes;
+    constexpr uint64_t kPages = 64;
+
+    // "Prelude": a 256 KiB region, every page written.
+    auto region = mm.allocateRegion("r", kPages * kPage, 16).value();
+    ASSERT_TRUE(mm.memsetOp({}, region, 0x11, kPages * kPage).ok());
+    MemorySnapshotPtr snap = mm.snapshot();
+    uint64_t resident = paged->sharedPages();
+    ASSERT_GE(resident, kPages);
+
+    for (int fork = 0; fork < 2; ++fork) {
+        mm.restore(snap);
+        EXPECT_EQ(paged->sharedPages(), resident) << "fork " << fork;
+        uint64_t clones = paged->cowClones();
+        // "main": two stores into each of three distinct pages.
+        for (uint64_t page : {1u, 17u, 40u}) {
+            for (uint64_t off : {8u, 64u}) {
+                PointerValue p = region;
+                p.cap = region.cap->withAddress(region.address() +
+                                                page * kPage + off);
+                ASSERT_TRUE(mm.store({}, longTy, p,
+                                     MemValue(IntegerValue::ofNum(
+                                         IntKind::Long, 7)))
+                                .ok());
+            }
+        }
+        EXPECT_EQ(paged->cowClones() - clones, 3u) << "fork " << fork;
+        EXPECT_EQ(paged->sharedPages(), resident - 3) << "fork " << fork;
+    }
+}
+
 TEST(ModelSnapshot, SnapshotUnderQuarantine)
 {
     MemoryModel::Config cfg;
