@@ -192,8 +192,10 @@ MemoryModel::load(const SourceLoc &loc, const TypeRef &ty, const PointerValue &p
       }
 
       default:
-        // Pointer loads always need the slot-metadata + provenance
-        // reconstruction; the guard still spares accessCheck.
+        // Pointer loads need the slot-metadata + provenance
+        // reconstruction, which abst() serves from the store's
+        // whole-granule record when there is one (readCapGranule);
+        // the guard still spares accessCheck.
         return abstValue(loc, addr, ty);
     }
 }

@@ -39,16 +39,14 @@ void
 MemoryModel::writeCapability(uint64_t addr, const Capability &c,
                              const Provenance &prov)
 {
-    unsigned n = arch().capSize();
-    assert(n <= kMaxScalarBytes);
+    assert(arch().capSize() <= kMaxScalarBytes);
     uint8_t repr[kMaxScalarBytes];
     arch().toBytes(c, repr);
-    AbsByte bs[kMaxScalarBytes];
-    for (unsigned i = 0; i < n; ++i)
-        bs[i] = AbsByte{prov, repr[i], i};
-    store_->writeBytes(addr, bs, n);
-    assert(addr % n == 0);
-    store_->setCapMeta(addr, CapMeta{c.tag(), c.ghost()});
+    CapMeta meta{c.tag(), c.ghost()};
+    if (pagedStore_)
+        pagedStore_->writeCapGranule(addr, repr, prov, meta);
+    else
+        store_->writeCapGranule(addr, repr, prov, meta);
 }
 
 void
@@ -291,78 +289,90 @@ MemoryModel::reprValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty,
 // abst(): representation -> value.
 // ---------------------------------------------------------------------
 
+bool
+MemoryModel::stageBytes(uint64_t addr, uint64_t n, AbsByte *out)
+{
+    store_->readBytes(addr, n, out);
+    bool all_present = true;
+    for (uint64_t i = 0; i < n; ++i) {
+        if (!out[i].value)
+            all_present = false;
+    }
+    if (!all_present && !config_.readUninitIsUb) {
+        // Hardware view: memory always holds *some* byte; model it as
+        // zero so concrete profiles read deterministically.
+        for (uint64_t i = 0; i < n; ++i) {
+            if (!out[i].value)
+                out[i].value = 0;
+        }
+        return true;
+    }
+    return all_present;
+}
+
+std::optional<Capability>
+MemoryModel::abstCap(uint64_t addr, uint64_t n, Provenance &prov)
+{
+    assert(n <= kMaxScalarBytes);
+    uint8_t raw[kMaxScalarBytes];
+    bool aligned = addr % arch().capSize() == 0;
+    // A whole granule (what writeCapability stores) comes back as one
+    // record; anything else is staged byte by byte.
+    bool prov_ok = aligned && n == arch().capSize() &&
+        (pagedStore_ ? pagedStore_->readCapGranule(addr, raw, prov)
+                     : store_->readCapGranule(addr, raw, prov));
+    if (!prov_ok) {
+        AbsByte bs[kMaxScalarBytes];
+        if (!stageBytes(addr, n, bs))
+            return std::nullopt;
+        prov = bs[0].prov;
+        prov_ok = true;
+        for (uint64_t i = 0; i < n; ++i) {
+            raw[i] = *bs[i].value;
+            if (!(bs[i].prov == prov) || !bs[i].index ||
+                *bs[i].index != i) {
+                prov_ok = false;
+            }
+        }
+    }
+    std::optional<CapMeta> meta_opt =
+        aligned ? store_->capMetaAt(addr) : std::nullopt;
+    CapMeta meta = meta_opt.value_or(CapMeta{});
+    cap::GhostState ghost = aligned ? meta.ghost : cap::GhostState{};
+    if (config_.ghostState && prov_ok && !prov.isEmpty() && aligned &&
+        !meta_opt) {
+        // The bytes are a verbatim copy of some capability's
+        // representation made with non-capability stores: an optimiser
+        // may turn that copy into a tag-preserving one (section 3.5),
+        // so the tag is unspecified.
+        ghost.tagUnspec = true;
+    }
+    if (!prov_ok)
+        prov = Provenance::empty();
+    return arch().fromBytes(raw, aligned && meta.tag).withGhost(ghost);
+}
+
 MemResult<MemValue>
 MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
 {
     uint64_t n = layout_.sizeOf(ty);
 
-    // Scalar cases stage into caller-provided stack buffers (their
-    // footprint is <= kMaxScalarBytes); only the union case below
-    // reads into a vector, its footprint being unbounded.
-    auto read_into = [&](uint64_t a, uint64_t count,
-                         AbsByte *out) -> bool {
-        store_->readBytes(a, count, out);
-        bool all_present = true;
-        for (uint64_t i = 0; i < count; ++i) {
-            if (!out[i].value)
-                all_present = false;
-        }
-        if (!all_present && !config_.readUninitIsUb) {
-            // Hardware view: memory always holds *some* byte; model
-            // it as zero so concrete profiles read deterministically.
-            for (uint64_t i = 0; i < count; ++i) {
-                if (!out[i].value)
-                    out[i].value = 0;
-            }
-            return true;
-        }
-        return all_present;
-    };
-
     switch (ty->kind) {
       case Type::Kind::Integer: {
         assert(n <= kMaxScalarBytes);
-        AbsByte bs[kMaxScalarBytes];
-        bool present = read_into(addr, n, bs);
-        if (!present) {
-            if (config_.readUninitIsUb) {
+        if (ty->isCapInteger()) {
+            Provenance prov;
+            std::optional<Capability> c = abstCap(addr, n, prov);
+            if (!c) {
                 return Failure::undefined(Ub::ReadUninitialized, loc,
                                           "at " + hexStr(addr));
             }
-            return MemValue(UnspecValue{ty});
+            return MemValue(IntegerValue::ofCap(ty->intKind, *c, prov));
         }
-
-        if (ty->isCapInteger()) {
-            uint8_t raw[kMaxScalarBytes];
-            Provenance prov = bs[0].prov;
-            bool prov_ok = true;
-            for (uint64_t i = 0; i < n; ++i) {
-                raw[i] = *bs[i].value;
-                if (!(bs[i].prov == prov) || !bs[i].index ||
-                    *bs[i].index != i) {
-                    prov_ok = false;
-                }
-            }
-            bool aligned = addr % arch().capSize() == 0;
-            std::optional<CapMeta> meta_opt =
-                aligned ? store_->capMetaAt(addr) : std::nullopt;
-            CapMeta meta = meta_opt.value_or(CapMeta{});
-            cap::GhostState ghost =
-                aligned ? meta.ghost : cap::GhostState{};
-            if (config_.ghostState && prov_ok && !prov.isEmpty() &&
-                aligned && !meta_opt) {
-                // The bytes are a verbatim copy of some capability's
-                // representation made with non-capability stores: an
-                // optimiser may turn that copy into a tag-preserving
-                // one (section 3.5), so the tag is unspecified.
-                ghost.tagUnspec = true;
-            }
-            Capability c =
-                arch().fromBytes(raw, aligned && meta.tag);
-            c = c.withGhost(ghost);
-            return MemValue(IntegerValue::ofCap(
-                ty->intKind, c,
-                prov_ok ? prov : Provenance::empty()));
+        AbsByte bs[kMaxScalarBytes];
+        if (!stageBytes(addr, n, bs)) {
+            return Failure::undefined(Ub::ReadUninitialized, loc,
+                                      "at " + hexStr(addr));
         }
 
         // The load rule's expose step (2f): reading pointer bytes at
@@ -397,12 +407,9 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
       case Type::Kind::Floating: {
         assert(n <= 8);
         AbsByte bs[8];
-        if (!read_into(addr, n, bs)) {
-            if (config_.readUninitIsUb) {
-                return Failure::undefined(Ub::ReadUninitialized, loc,
-                                          "at " + hexStr(addr));
-            }
-            return MemValue(UnspecValue{ty});
+        if (!stageBytes(addr, n, bs)) {
+            return Failure::undefined(Ub::ReadUninitialized, loc,
+                                      "at " + hexStr(addr));
         }
         uint8_t buf[8] = {};
         for (uint64_t i = 0; i < n && i < 8; ++i)
@@ -420,50 +427,22 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
       }
 
       case Type::Kind::Pointer: {
-        assert(n <= kMaxScalarBytes);
-        AbsByte bs[kMaxScalarBytes];
-        if (!read_into(addr, n, bs)) {
-            if (config_.readUninitIsUb) {
-                return Failure::undefined(Ub::ReadUninitialized, loc,
-                                          "at " + hexStr(addr));
-            }
-            return MemValue(UnspecValue{ty});
+        Provenance prov;
+        std::optional<Capability> c = abstCap(addr, n, prov);
+        if (!c) {
+            return Failure::undefined(Ub::ReadUninitialized, loc,
+                                      "at " + hexStr(addr));
         }
-        uint8_t raw[kMaxScalarBytes];
-        Provenance prov = bs[0].prov;
-        bool prov_ok = true;
-        for (uint64_t i = 0; i < n; ++i) {
-            raw[i] = *bs[i].value;
-            if (!(bs[i].prov == prov) || !bs[i].index ||
-                *bs[i].index != i) {
-                prov_ok = false;
-            }
-        }
-        bool aligned = addr % arch().capSize() == 0;
-        std::optional<CapMeta> meta_opt =
-            aligned ? store_->capMetaAt(addr) : std::nullopt;
-        CapMeta meta = meta_opt.value_or(CapMeta{});
-        cap::GhostState ghost =
-            aligned ? meta.ghost : cap::GhostState{};
-        if (config_.ghostState && prov_ok && !prov.isEmpty() &&
-            aligned && !meta_opt) {
-            // See the capability-integer case above (section 3.5).
-            ghost.tagUnspec = true;
-        }
-        if (!prov_ok)
-            prov = Provenance::empty();
-        Capability c = arch().fromBytes(raw, aligned && meta.tag);
-        c = c.withGhost(ghost);
-
-        if (!c.tag() && !c.ghost().any() && c.address() == 0 &&
+        if (!c->tag() && !c->ghost().any() && c->address() == 0 &&
             prov.isEmpty()) {
             return MemValue(PointerValue::null(arch()));
         }
-        if (auto func = functionAt(c.address());
-            func && c.isSentry()) {
-            return MemValue(PointerValue::function(*func, c));
+        // isSentry() first: an otype compare; functionAt() is a map find.
+        if (c->isSentry()) {
+            if (std::optional<uint32_t> func = functionAt(c->address()))
+                return MemValue(PointerValue::function(*func, *c));
         }
-        return MemValue(PointerValue::object(prov, c));
+        return MemValue(PointerValue::object(prov, *c));
       }
 
       case Type::Kind::Array: {
@@ -485,7 +464,7 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
             UnionValue uv;
             uv.tag = ty->tag;
             std::vector<AbsByte> bs(n);
-            read_into(addr, n, bs.data());
+            stageBytes(addr, n, bs.data());
             uv.bytes = std::move(bs);
             unsigned cs = arch().capSize();
             for (uint64_t off = 0; off + cs <= n; off += cs) {

@@ -805,9 +805,10 @@ MemoryModel::ptrFromInt(const SourceLoc &loc, const IntegerValue &iv)
             iv.prov.isEmpty()) {
             return PointerValue::null(a);
         }
-        if (auto func = functionAt(c.address());
-            func && c.isSentry()) {
-            return PointerValue::function(*func, c);
+        // isSentry() first: an otype compare; functionAt() is a map find.
+        if (c.isSentry()) {
+            if (std::optional<uint32_t> func = functionAt(c.address()))
+                return PointerValue::function(*func, c);
         }
         return PointerValue::object(iv.prov, c);
     }

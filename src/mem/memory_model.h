@@ -454,6 +454,18 @@ class MemoryModel
     /** abst(): reconstruct a value of @p ty from bytes at @p addr. */
     MemResult<MemValue> abstValue(const SourceLoc &loc, uint64_t addr,
                                   const ctype::TypeRef &ty);
+    /** abst()'s byte staging: read @p n abstract bytes at @p addr into
+     *  @p out.  False when some byte is uninitialised and the profile
+     *  makes that observable; otherwise (hardware view) missing values
+     *  read as 0 and the result is true. */
+    bool stageBytes(uint64_t addr, uint64_t n, AbsByte *out);
+    /** abst() of a capability representation (pointer or capability
+     *  integer, @p n bytes at @p addr).  @p prov becomes the
+     *  provenance all bytes share when they are a verbatim capability
+     *  representation, else empty (section 3.5).  nullopt exactly when
+     *  stageBytes() would return false. */
+    std::optional<Capability> abstCap(uint64_t addr, uint64_t n,
+                                      Provenance &prov);
 
     MemResult<PointerValue> allocate(const std::string &prefix,
                                      uint64_t size, unsigned align,

@@ -113,20 +113,6 @@ maskNone(const uint64_t *ws, unsigned lo, unsigned hi)
     return true;
 }
 
-/** Drop every heavy byte of page offsets [lo, hi).  Template so the
- *  private Page type stays private (deduced, never named). */
-template <typename PageT>
-void
-clearHeavy(PageT &p, unsigned lo, unsigned hi)
-{
-    if (maskNone(p.heavy, lo, hi))
-        return;
-    auto it = p.heavyBytes.lower_bound(static_cast<uint16_t>(lo));
-    while (it != p.heavyBytes.end() && it->first < hi)
-        it = p.heavyBytes.erase(it);
-    maskClear(p.heavy, lo, hi);
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -301,12 +287,39 @@ PagedStore::PagedStore(unsigned cap_size)
     // mask-and-shift, not division).
     assert(std::has_single_bit(cap_size));
     assert(kPageBytes % cap_size == 0);
+    assert(cap_size >= kMinCapSize && cap_size <= 16);
+}
+
+void
+PagedStore::splitGranule(Page &p, unsigned g)
+{
+    if (!isWhole(p, g))
+        return;
+    unsigned base = g << capShift_;
+    for (unsigned i = 0; i < capSize_; ++i) {
+        p.heavyBytes[static_cast<uint16_t>(base + i)] =
+            HeavyInfo{p.granuleProv[g], i};
+    }
+    bitClear(p.whole, g);
 }
 
 void
 PagedStore::clearHeavySpan(Page &p, unsigned lo, unsigned hi)
 {
-    clearHeavy(p, lo, hi);
+    if (maskNone(p.heavy, lo, hi))
+        return;
+    // Granule records: split the (at most two) the span covers only
+    // partly, then drop every record it touches.
+    unsigned mask = capSize_ - 1;
+    if (lo & mask)
+        splitGranule(p, lo >> capShift_);
+    if (hi & mask)
+        splitGranule(p, hi >> capShift_);
+    maskClear(p.whole, lo >> capShift_, (hi + mask) >> capShift_);
+    auto it = p.heavyBytes.lower_bound(static_cast<uint16_t>(lo));
+    while (it != p.heavyBytes.end() && it->first < hi)
+        it = p.heavyBytes.erase(it);
+    maskClear(p.heavy, lo, hi);
 }
 
 bool
@@ -362,7 +375,7 @@ PagedStore::touchPage(uint64_t index)
 
 void
 PagedStore::assembleBytes(const Page *p, unsigned off, unsigned n,
-                          AbsByte *out)
+                          AbsByte *out) const
 {
     for (unsigned j = 0; j < n; ++j) {
         unsigned o = off + j;
@@ -370,10 +383,16 @@ PagedStore::assembleBytes(const Page *p, unsigned off, unsigned n,
         if (bitTest(p->present, o))
             b.value = p->value[o];
         if (bitTest(p->heavy, o)) {
-            auto it = p->heavyBytes.find(static_cast<uint16_t>(o));
-            assert(it != p->heavyBytes.end());
-            b.prov = it->second.prov;
-            b.index = it->second.index;
+            unsigned g = o >> capShift_;
+            if (isWhole(*p, g)) {
+                b.prov = p->granuleProv[g];
+                b.index = o & (capSize_ - 1);
+            } else {
+                auto it = p->heavyBytes.find(static_cast<uint16_t>(o));
+                assert(it != p->heavyBytes.end());
+                b.prov = it->second.prov;
+                b.index = it->second.index;
+            }
         }
         out[j] = b;
     }
@@ -385,21 +404,40 @@ PagedStore::depositBytes(Page &p, unsigned off, unsigned n,
 {
     for (unsigned j = 0; j < n; ++j) {
         unsigned o = off + j;
-        const AbsByte &b = src[j];
-        if (b.value) {
+        if (src[j].value) {
             bitSet(p.present, o);
-            p.value[o] = *b.value;
+            p.value[o] = *src[j].value;
         } else {
             bitClear(p.present, o);
         }
+    }
+    unsigned mask = capSize_ - 1;
+    for (unsigned j = 0; j < n;) {
+        unsigned o = off + j;
+        if (!(o & mask) && n - j >= capSize_) {
+            // A granule-aligned run in the shape of one capability
+            // becomes a granule record.
+            const AbsByte *g = src + j;
+            bool shaped = true;
+            for (unsigned i = 0; i < capSize_ && shaped; ++i)
+                shaped = g[i].index == i && g[i].prov == g[0].prov;
+            if (shaped) {
+                setGranuleRecord(p, o, g[0].prov);
+                j += capSize_;
+                continue;
+            }
+        }
+        const AbsByte &b = src[j];
         if (!b.prov.isEmpty() || b.index) {
+            if (isWhole(p, o >> capShift_))
+                clearHeavySpan(p, o, o + 1); // split the record around o
             bitSet(p.heavy, o);
             p.heavyBytes[static_cast<uint16_t>(o)] =
                 HeavyInfo{b.prov, b.index};
         } else if (bitTest(p.heavy, o)) {
-            bitClear(p.heavy, o);
-            p.heavyBytes.erase(static_cast<uint16_t>(o));
+            clearHeavySpan(p, o, o + 1);
         }
+        ++j;
     }
 }
 
@@ -460,13 +498,12 @@ PagedStore::fillRange(uint64_t addr, uint64_t n, const AbsByte &b)
         } else {
             maskClear(p.present, lo, hi);
         }
+        clearHeavySpan(p, lo, hi);
         if (heavy) {
             maskSet(p.heavy, lo, hi);
             for (unsigned o = lo; o < hi; ++o)
                 p.heavyBytes[static_cast<uint16_t>(o)] =
                     HeavyInfo{b.prov, b.index};
-        } else {
-            clearHeavy(p, lo, hi);
         }
         i += chunk;
     }
@@ -490,7 +527,7 @@ PagedStore::clearRange(uint64_t addr, uint64_t n)
             if (!maybeShared_ || it->second.use_count() == 1) {
                 Page &p = ensureUnique(it->first, it->second);
                 maskClear(p.present, lo, hi);
-                clearHeavy(p, lo, hi);
+                clearHeavySpan(p, lo, hi);
             } else {
                 // Shared page: only clone if the range is not
                 // already clear (leave an untouched page shared).
@@ -499,7 +536,7 @@ PagedStore::clearRange(uint64_t addr, uint64_t n)
                     !maskNone(ro->heavy, lo, hi)) {
                     Page &p = ensureUnique(it->first, it->second);
                     maskClear(p.present, lo, hi);
-                    clearHeavy(p, lo, hi);
+                    clearHeavySpan(p, lo, hi);
                 }
             }
         }
@@ -561,7 +598,7 @@ PagedStore::copyRange(uint64_t dst, uint64_t src, uint64_t n)
         if (!sp) {
             // Source page absent: every byte reads as AbsByte{}.
             maskClear(dp.present, dlo, dhi);
-            clearHeavy(dp, dlo, dhi);
+            clearHeavySpan(dp, dlo, dhi);
         } else if (maskNone(sp->heavy, slo, shi)) {
             // No heavy bytes in the source chunk: bulk-copy the
             // value plane and mirror the presence bits.
@@ -578,13 +615,32 @@ PagedStore::copyRange(uint64_t dst, uint64_t src, uint64_t n)
                         bitClear(dp.present, dlo + j);
                 }
             }
-            clearHeavy(dp, dlo, dhi);
+            clearHeavySpan(dp, dlo, dhi);
         } else {
-            // Heavy bytes present: assemble/deposit byte by byte.
-            for (unsigned j = 0; j < chunk; ++j) {
+            // Heavy bytes present: move granule records whole where
+            // source and destination are both granule-aligned, and
+            // assemble/deposit every other byte one by one.
+            unsigned mask = capSize_ - 1;
+            for (unsigned j = 0; j < chunk;) {
+                unsigned so = slo + j, d = dlo + j;
+                if (!(so & mask) && !(d & mask) && chunk - j >= capSize_ &&
+                    isWhole(*sp, so >> capShift_)) {
+                    std::memcpy(dp.value + d, sp->value + so, capSize_);
+                    // A granule sits in one mask word.
+                    uint64_t bits = (sp->present[so / 64] >> (so % 64)) &
+                        spanMask(0, capSize_);
+                    dp.present[d / 64] =
+                        (dp.present[d / 64] & ~spanMask(d % 64, capSize_)) |
+                        bits << (d % 64);
+                    setGranuleRecord(dp, d,
+                                     sp->granuleProv[so >> capShift_]);
+                    j += capSize_;
+                    continue;
+                }
                 AbsByte b;
-                assembleBytes(sp, slo + j, 1, &b);
-                depositBytes(dp, dlo + j, 1, &b);
+                assembleBytes(sp, so, 1, &b);
+                depositBytes(dp, d, 1, &b);
+                ++j;
             }
         }
         i += chunk;

@@ -15,9 +15,10 @@
  *  - MapStore: the literal `std::map` transcription of B and C.  Kept
  *    as the reference backend / differential oracle: slow (one
  *    red-black-tree lookup per byte) but obviously faithful.
- *  - PagedStore: sparse 4 KiB pages of flat AbsByte / CapMeta arrays
- *    keyed by page index, with a one-entry last-page cache.  This is
- *    what every implementation profile runs by default.
+ *  - PagedStore: sparse 4 KiB pages (a raw value plane, presence and
+ *    heavy bitmasks, per-granule capability records and CapMeta
+ *    slots) keyed by page index, with a one-entry last-page cache.
+ *    This is what every implementation profile runs by default.
  *
  * Invariants every backend must uphold (and the store-equivalence
  * test checks):
@@ -38,6 +39,7 @@
 #ifndef CHERISEM_MEM_STORE_H
 #define CHERISEM_MEM_STORE_H
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -197,6 +199,63 @@ class AbstractStore
     }
     /// @}
 
+    /// @name Capability-granule primitives.
+    /// A stored capability (section 4.3) is capSize() abstract bytes at
+    /// an aligned slot, all with the same provenance and byte i
+    /// carrying pointer index i.  A granule in exactly that shape, with
+    /// every value present, is *whole*; these primitives move one whole
+    /// granule at a time.  They bump exactly the counters of the staged
+    /// readBytes / writeBytes + setCapMeta path they replace, so
+    /// MemStats do not depend on which path served an access.
+    /// @{
+    /**
+     * If the granule at the aligned @p slot is whole, copy its raw
+     * values into @p raw (capSize() bytes), set @p prov to the
+     * provenance its bytes share and return true.  Otherwise return
+     * false with the counters untouched: the caller falls back to a
+     * readBytes that does its own counting.  A backend may also
+     * decline a whole granule it does not hold as one record
+     * (PagedStore after a byte-by-byte copy); the fallback reads the
+     * same value.  Capability metadata is not read: that stays
+     * capMetaAt().
+     */
+    virtual bool readCapGranule(uint64_t slot, uint8_t *raw,
+                                Provenance &prov) const
+    {
+        assert(slot % capSize_ == 0);
+        AbsByte bs[16];
+        readBytes(slot, capSize_, bs);
+        for (unsigned i = 0; i < capSize_; ++i) {
+            if (!bs[i].value || !(bs[i].prov == bs[0].prov) ||
+                bs[i].index != i) {
+                // Not whole: rewind the read the caller will redo.
+                --stats_.rangeReads;
+                stats_.bytesRead -= capSize_;
+                return false;
+            }
+            raw[i] = *bs[i].value;
+        }
+        prov = bs[0].prov;
+        return true;
+    }
+    /**
+     * Store one capability at the aligned @p slot: writeBytes of
+     * AbsByte{prov, raw[i], i} for i < capSize(), then setCapMeta(slot,
+     * meta).
+     */
+    virtual void writeCapGranule(uint64_t slot, const uint8_t *raw,
+                                 const Provenance &prov,
+                                 const CapMeta &meta)
+    {
+        assert(slot % capSize_ == 0);
+        AbsByte bs[16];
+        for (unsigned i = 0; i < capSize_; ++i)
+            bs[i] = AbsByte{prov, raw[i], i};
+        writeBytes(slot, bs, capSize_);
+        setCapMeta(slot, meta);
+    }
+    /// @}
+
     /// @name Snapshot / restore.
     /// @{
     /** Capture the full (B, C) contents plus counters.  PagedStore is
@@ -284,12 +343,21 @@ class MapStore final : public AbstractStore
  *
  * Pages store the abstract bytes struct-of-arrays: a raw value plane,
  * a presence bitmask (value recorded), and a *heavy* bitmask marking
- * the rare bytes that carry provenance or a pointer index, whose
- * out-of-band parts live in a sparse per-page map.  A clean byte
+ * the bytes that carry provenance or a pointer index.  A clean byte
  * (present and not heavy) is exactly the AbsByte{empty, v, nullopt}
  * every plain integer/float store produces, so the scalar fast path
  * is a word-mask test plus a memcpy against the value plane, and bulk
  * fill/copy of plain data moves raw bytes, not 32-byte structs.
+ *
+ * The out-of-band part of a heavy byte lives in one of two places.  A
+ * granule written as one capability (every byte with the same
+ * provenance, byte i with pointer index i) is a *granule record*: one
+ * bit in `whole` plus one Provenance per granule, so a pointer store
+ * or load moves one record, not capSize() map entries.  Every other
+ * heavy byte (byte-wise copies, misaligned capability stores, partly
+ * overwritten granules) keeps a residual per-byte map entry.  A write
+ * over part of a granule record first splits the record into map
+ * entries for the bytes it leaves alone.
  *
  * Pages are refcounted and immutable-when-shared: snapshot() copies
  * the page table (refcount bumps only), and every mutating primitive
@@ -400,6 +468,52 @@ class PagedStore final : public AbstractStore
         return count;
     }
 
+    // The granule primitives are inline for the same reason.  A slot
+    // is capSize()-aligned and capSize() <= 16, so a granule sits in
+    // one mask word and one bit of `whole`.
+    bool
+    readCapGranule(uint64_t slot, uint8_t *raw,
+                   Provenance &prov) const override
+    {
+        assert(slot % capSize_ == 0);
+        uint64_t index = slot / kPageBytes;
+        const Page *p =
+            index == cachedIndex_ ? cachedPage_ : findPage(index);
+        if (!p)
+            return false;
+        unsigned off = static_cast<unsigned>(slot % kPageBytes);
+        unsigned g = off >> capShift_;
+        uint64_t m = spanMask(off % 64, capSize_);
+        if (!isWhole(*p, g) || (p->present[off / 64] & m) != m)
+            return false;
+        std::memcpy(raw, p->value + off, capSize_);
+        prov = p->granuleProv[g];
+        ++stats_.rangeReads;
+        stats_.bytesRead += capSize_;
+        return true;
+    }
+
+    void
+    writeCapGranule(uint64_t slot, const uint8_t *raw,
+                    const Provenance &prov, const CapMeta &meta) override
+    {
+        assert(slot % capSize_ == 0);
+        uint64_t index = slot / kPageBytes;
+        Page &p = index == cachedIndex_ && cachedWritable_
+            ? *cachedPage_
+            : touchPage(index);
+        unsigned off = static_cast<unsigned>(slot % kPageBytes);
+        unsigned g = off >> capShift_;
+        p.present[off / 64] |= spanMask(off % 64, capSize_);
+        std::memcpy(p.value + off, raw, capSize_);
+        setGranuleRecord(p, off, prov);
+        p.meta[g] = meta;
+        p.metaPresent[g] = 1;
+        ++stats_.rangeWrites;
+        stats_.bytesWritten += capSize_;
+        ++stats_.capMetaWrites;
+    }
+
     void readBytes(uint64_t addr, uint64_t n,
                    AbsByte *out) const override;
     void writeBytes(uint64_t addr, const AbsByte *src,
@@ -429,6 +543,9 @@ class PagedStore final : public AbstractStore
     uint64_t sharedPages() const;
 
   private:
+    /** The smallest supported capability granule (cc64). */
+    static constexpr unsigned kMinCapSize = 8;
+
     /** Out-of-band part of a heavy byte (provenance / pointer index). */
     struct HeavyInfo
     {
@@ -436,6 +553,14 @@ class PagedStore final : public AbstractStore
         std::optional<uint32_t> index;
     };
 
+    /**
+     * One 4 KiB page.  Heavy byte o's out-of-band part is the record
+     * of its granule g when bit g of `whole` is set — provenance
+     * granuleProv[g], index o % capSize() — and heavyBytes[o]
+     * otherwise.  A granule record covers all of its bytes: each has
+     * its heavy bit set and no heavyBytes entry.  Presence is tracked
+     * per byte either way.
+     */
     struct Page
     {
         explicit Page(unsigned slots)
@@ -445,7 +570,12 @@ class PagedStore final : public AbstractStore
         uint8_t value[kPageBytes];        // raw byte plane (masked)
         uint64_t present[kMaskWords] = {}; // bit per byte: value recorded
         uint64_t heavy[kMaskWords] = {};   // bit per byte: prov or index
-        std::map<uint16_t, HeavyInfo> heavyBytes; // keyed by page offset
+        // Bit per granule: whole-granule record.
+        uint64_t whole[kPageBytes / kMinCapSize / 64] = {};
+        // Record provenance per granule; empty until the page first
+        // holds a record.
+        std::vector<Provenance> granuleProv;
+        std::map<uint16_t, HeavyInfo> heavyBytes; // residual, by offset
         std::vector<CapMeta> meta;        // one per cap slot
         std::vector<uint8_t> metaPresent;
     };
@@ -469,17 +599,53 @@ class PagedStore final : public AbstractStore
     /** COW-clone @p entry if shared; refreshes the cache.  The
      *  returned reference is uniquely owned. */
     Page &ensureUnique(uint64_t index, std::shared_ptr<Page> &entry);
-    /** Drop the heavy out-of-band entries of [lo, hi) (rare). */
+    /** Drop the heavy out-of-band parts of page offsets [lo, hi):
+     *  granule records the span covers only partly are split first,
+     *  so the bytes outside it keep their provenance and index. */
     void clearHeavySpan(Page &p, unsigned lo, unsigned hi);
+    /** Turn the record of granule @p g (if any) into per-byte
+     *  heavyBytes entries. */
+    void splitGranule(Page &p, unsigned g);
+    /** Make the granule at page offset @p off a record with
+     *  provenance @p prov (its values and presence are the caller's):
+     *  residual per-byte entries are dropped, an existing record is
+     *  overwritten. */
+    void
+    setGranuleRecord(Page &p, unsigned off, const Provenance &prov)
+    {
+        unsigned g = off >> capShift_;
+        unsigned w = off / 64;
+        uint64_t m = spanMask(off % 64, capSize_);
+        if ((p.heavy[w] & m) && !isWhole(p, g))
+            clearHeavySpan(p, off, off + capSize_);
+        p.heavy[w] |= m;
+        p.whole[g / 64] |= uint64_t(1) << (g % 64);
+        granuleProvs(p)[g] = prov;
+    }
+    /** @p p's record provenances, allocated on first use. */
+    std::vector<Provenance> &
+    granuleProvs(Page &p)
+    {
+        if (p.granuleProv.empty())
+            p.granuleProv.resize(slotsPerPage_);
+        return p.granuleProv;
+    }
+    static bool
+    isWhole(const Page &p, unsigned g)
+    {
+        return (p.whole[g / 64] >> (g % 64)) & 1;
+    }
     /** The section 3.5 representation-write transition on one
      *  recorded slot; true when the slot actually changed. */
     static bool invalidateSlotMeta(CapMeta &m, bool ghost);
 
-    /** Assemble / decompose one in-page range (no counters). */
-    static void assembleBytes(const Page *p, unsigned off, unsigned n,
-                              AbsByte *out);
-    static void depositBytes(Page &p, unsigned off, unsigned n,
-                             const AbsByte *src);
+    /** Assemble / decompose one in-page range (no counters).
+     *  depositBytes stores a granule-aligned run of capSize() bytes in
+     *  the shape of one capability as a granule record. */
+    void assembleBytes(const Page *p, unsigned off, unsigned n,
+                       AbsByte *out) const;
+    void depositBytes(Page &p, unsigned off, unsigned n,
+                      const AbsByte *src);
 
     unsigned slotsPerPage_;
     unsigned capShift_; // log2(capSize_); granule sizes are powers of 2
