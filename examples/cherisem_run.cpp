@@ -44,12 +44,10 @@
 
 #include "corelang/machine.h"
 #include "driver/interpreter.h"
-#include "frontend/parser.h"
 #include "mem/stats_json.h"
 #include "obs/replay.h"
 #include "obs/sinks.h"
 #include "obs/trace_diff.h"
-#include "sema/sema.h"
 #include "support/format.h"
 
 using namespace cherisem::driver;
@@ -57,33 +55,6 @@ namespace obs = cherisem::obs;
 namespace corelang = cherisem::corelang;
 
 namespace {
-
-/** Parse/analyse/optimise under @p p; false (with a message on
- *  stderr) on a frontend error.  The replay mode needs the Core
- *  program itself, which runSource() never exposes. */
-bool
-compileFrontend(const std::string &src, const Profile &p,
-                const std::string &file,
-                std::optional<cherisem::sema::Program> *out)
-{
-    try {
-        cherisem::frontend::TranslationUnit unit =
-            cherisem::frontend::parse(src, file);
-        cherisem::ctype::MachineLayout machine{
-            p.memConfig.arch->capSize(),
-            p.memConfig.arch->addrBits() / 8};
-        out->emplace(
-            cherisem::sema::analyze(std::move(unit), machine));
-        corelang::optimize(**out, p.optims);
-    } catch (const cherisem::frontend::FrontendError &e) {
-        fprintf(stderr, "%s: %s\n", file.c_str(), e.str().c_str());
-        return false;
-    } catch (const cherisem::sema::SemaError &e) {
-        fprintf(stderr, "%s: %s\n", file.c_str(), e.str().c_str());
-        return false;
-    }
-    return true;
-}
 
 /** --replay-to SEQ: record a traced run (capturing the post-prelude
  *  snapshot keyed by the sink sequence number), then time-travel to
@@ -97,24 +68,29 @@ replayRun(const std::string &src, Profile p, const std::string &file,
     // fits without wrapping; prefix replay needs the whole stream.
     constexpr size_t kReplayRingCapacity = 1 << 20;
 
-    std::optional<cherisem::sema::Program> prog;
-    if (!compileFrontend(src, p, file, &prog))
+    cherisem::Result<CompiledPtr, std::string> compiled =
+        compile(src, p, file, obs::Tracer());
+    if (!compiled) {
+        fprintf(stderr, "%s: %s\n", file.c_str(),
+                compiled.error().c_str());
         return 2;
+    }
+    const cherisem::sema::Program &prog = compiled.value()->prog;
     corelang::EvalOptions opts = p.evalOptions();
 
-    // Record pass: one full traced run; capture() at the quiescent
-    // post-prelude point, keyed by the events emitted so far.
+    // Record pass: one full traced run; the post-prelude fork point
+    // is indexed by the events emitted so far.
     obs::RingBufferSink record(kReplayRingCapacity);
-    obs::SnapshotIndex<corelang::Machine::SnapshotPtr> index;
+    obs::SnapshotIndex<corelang::WarmPtr> index;
     corelang::Outcome outcome;
     {
         corelang::EvalOptions ropts = opts;
         ropts.memConfig.traceSink = &record;
-        corelang::Machine m(*prog, ropts);
-        std::optional<corelang::Outcome> pre = m.runPrelude();
-        if (!pre)
-            index.add(record.emitted(), m.capture());
-        outcome = pre ? *pre : m.runMain();
+        corelang::Machine m(prog, ropts);
+        corelang::WarmPtr warm = corelang::buildWarm(m, record);
+        if (!warm->terminal)
+            index.add(record.emitted(), warm);
+        outcome = warm->terminal ? warm->preludeOutcome : m.runMain();
     }
     printf("[%s] %s\n", p.name.c_str(), outcome.summary().c_str());
     uint64_t total = record.emitted();
@@ -150,17 +126,10 @@ replayRun(const std::string &src, Profile p, const std::string &file,
     corelang::EvalOptions sopts = opts;
     sopts.memConfig.traceSink = &stop;
     try {
-        corelang::Machine m(*prog, sopts);
-        if (entry) {
-            m.restoreSnapshot(entry->snap);
-            for (uint64_t i = 0; i < entry->seq; ++i)
-                stop.emit(recorded[i]);
-            (void)m.runMain();
-        } else {
-            std::optional<corelang::Outcome> pre = m.runPrelude();
-            if (!pre)
-                (void)m.runMain();
-        }
+        if (entry)
+            (void)corelang::runWarm(prog, sopts, *entry->snap);
+        else
+            (void)corelang::Machine(prog, sopts).run();
     } catch (const obs::ReplayStop &) {
         // The target event has been re-derived; the half-finished
         // machine is dropped on the floor — only its stream matters.

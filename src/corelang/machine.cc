@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cinttypes>
 
+#include "obs/sinks.h"
 #include "support/format.h"
 
 namespace cherisem::corelang {
@@ -218,6 +219,45 @@ Machine::restoreSnapshot(const SnapshotPtr &snap)
     callDepth_ = 0;
     // steps_ moved: recompute the step/watchdog poll boundary.
     checkAt_ = nextCheckAt();
+}
+
+WarmPtr
+buildWarm(Machine &m, const obs::RingBufferSink &ring)
+{
+    auto entry = std::make_shared<WarmEntry>();
+    std::optional<Outcome> pre = m.runPrelude();
+    if (pre) {
+        entry->terminal = true;
+        entry->preludeOutcome = std::move(*pre);
+    } else {
+        entry->snap = m.capture();
+    }
+    entry->preludeEvents = ring.snapshot();
+    entry->preludeDropped = ring.dropped();
+    return entry;
+}
+
+Outcome
+runWarm(const sema::Program &prog, const EvalOptions &opts,
+        const WarmEntry &entry,
+        const std::function<void(Machine &)> &hook)
+{
+    obs::TraceSink *sink = opts.memConfig.traceSink;
+    auto replayPrelude = [&] {
+        if (sink)
+            for (const obs::TraceEvent &e : entry.preludeEvents)
+                sink->emit(e);
+    };
+    if (entry.terminal) {
+        replayPrelude();
+        return entry.preludeOutcome;
+    }
+    Machine m(prog, opts);
+    m.restoreSnapshot(entry.snap);
+    replayPrelude();
+    if (hook)
+        hook(m);
+    return m.runMain();
 }
 
 bool

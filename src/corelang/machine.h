@@ -11,14 +11,17 @@
  * mem::MemoryModel.
  *
  * Besides run(), the machine exposes the prelude/main split and
- * capture()/restoreSnapshot() used by warm serving and the fuzz fork
- * driver.
+ * capture()/restoreSnapshot().  Their one user is the warm fork point
+ * at the end of this header (WarmEntry, buildWarm(), runWarm()),
+ * shared by warm serving, the fuzz fork driver and
+ * `cherisem_run --replay-to`.
  */
 #ifndef CHERISEM_CORELANG_MACHINE_H
 #define CHERISEM_CORELANG_MACHINE_H
 
 #include <array>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,6 +30,11 @@
 
 #include "corelang/eval.h"
 #include "intrinsics/intrinsics.h"
+#include "obs/trace_event.h"
+
+namespace cherisem::obs {
+class RingBufferSink;
+}
 
 namespace cherisem::corelang {
 
@@ -373,6 +381,58 @@ struct Machine::Snapshot
     std::array<uint64_t, kNumBuiltins> intrinsicCount{};
     std::array<uint64_t, kNumBuiltins> intrinsicNs{};
 };
+
+/**
+ * One program's post-prelude fork point.  A warm start must be
+ * invisible: restoring the snapshot into a fresh machine and
+ * re-emitting the recorded prelude events (sinks stamp their own
+ * sequence numbers, so the replayed events are byte-identical to a
+ * cold run's prefix) leaves the machine and its witness stream
+ * exactly where a cold run stands when __prelude() returns.
+ * Snapshots reference AST nodes of their own program, so an entry is
+ * only meaningful for the sema::Program it was built over.
+ */
+struct WarmEntry
+{
+    /** The prelude itself terminated the run (UB, exit(), assert
+     *  failure, resource exhaustion): every warm start of this
+     *  program gets preludeOutcome without executing anything. */
+    bool terminal = false;
+    Outcome preludeOutcome;
+    /** Quiescent machine state right after __prelude() returned
+     *  (null when terminal). */
+    Machine::SnapshotPtr snap;
+    /** The build run's witness events (global init + prelude). */
+    std::vector<obs::TraceEvent> preludeEvents;
+    /** Events the build ring overwrote; non-zero makes
+     *  preludeEvents a suffix of the real stream. */
+    uint64_t preludeDropped = 0;
+
+    /** Steps a cold run takes up to the fork point (or to the
+     *  prelude's terminal verdict). */
+    uint64_t
+    preludeSteps() const
+    {
+        return terminal ? preludeOutcome.steps : snap->steps;
+    }
+};
+
+using WarmPtr = std::shared_ptr<const WarmEntry>;
+
+/** Build step: run globals + __prelude() on the fresh machine @p m,
+ *  whose trace sink is @p ring, and capture the fork point.  Unless
+ *  the entry is terminal, @p m is left quiescent, so the caller may
+ *  go on with m.runMain() — exactly a cold run. */
+WarmPtr buildWarm(Machine &m, const obs::RingBufferSink &ring);
+
+/** Fork step: a fresh machine over @p prog (which @p entry was built
+ *  over) under @p opts restores the snapshot, re-emits the recorded
+ *  prelude events into opts' trace sink, runs @p hook (e.g.
+ *  Machine::pokeGlobalInt), then main().  A terminal entry re-emits
+ *  the events and returns the prelude's outcome. */
+Outcome runWarm(const sema::Program &prog, const EvalOptions &opts,
+                const WarmEntry &entry,
+                const std::function<void(Machine &)> &hook = {});
 
 } // namespace cherisem::corelang
 

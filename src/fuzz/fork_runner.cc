@@ -8,11 +8,9 @@
 #include <optional>
 
 #include "corelang/machine.h"
-#include "corelang/optimize.h"
-#include "frontend/parser.h"
+#include "driver/interpreter.h"
 #include "obs/sinks.h"
 #include "obs/trace_diff.h"
-#include "sema/sema.h"
 
 namespace cherisem::fuzz {
 
@@ -47,24 +45,14 @@ runForkCase(uint64_t seed, const std::string &source,
     }
 
     // Compile once — the whole point of forking.
-    sema::Program prog;
-    try {
-        frontend::TranslationUnit unit =
-            frontend::parse(source, "<fork>");
-        ctype::MachineLayout machine{
-            profile->memConfig.arch->capSize(),
-            profile->memConfig.arch->addrBits() / 8};
-        prog = sema::analyze(std::move(unit), machine);
-        corelang::optimize(prog, profile->optims);
-    } catch (const frontend::FrontendError &e) {
+    Result<driver::CompiledPtr, std::string> compiled =
+        driver::compile(source, *profile, "<fork>", obs::Tracer());
+    if (!compiled) {
         out.push_back({Divergence::Kind::Crash, seed, profile->name,
-                       "frontend-error " + e.str(), false});
-        return out;
-    } catch (const sema::SemaError &e) {
-        out.push_back({Divergence::Kind::Crash, seed, profile->name,
-                       "sema-error " + e.str(), false});
+                       "frontend-error " + compiled.error(), false});
         return out;
     }
+    const sema::Program &prog = compiled.value()->prog;
 
     corelang::EvalOptions eopts = profile->evalOptions();
 
@@ -74,14 +62,9 @@ runForkCase(uint64_t seed, const std::string &source,
     corelang::EvalOptions bopts = eopts;
     bopts.memConfig.traceSink = &preludeRing;
     corelang::Machine builder(prog, bopts);
-    std::optional<Outcome> preTerminal = builder.runPrelude();
-    corelang::Machine::SnapshotPtr snap;
-    if (!preTerminal)
-        snap = builder.capture();
-    std::vector<obs::TraceEvent> preludeEvents =
-        preludeRing.snapshot();
-    if (stats && snap)
-        stats->preludeSteps = snap->steps;
+    corelang::WarmPtr warm = corelang::buildWarm(builder, preludeRing);
+    if (stats && !warm->terminal)
+        stats->preludeSteps = warm->snap->steps;
 
     obs::DiffOptions dopts; // same profile both sides: full strength
 
@@ -90,20 +73,11 @@ runForkCase(uint64_t seed, const std::string &source,
         obs::RingBufferSink forkRing(opts.ringCapacity);
         corelang::EvalOptions fopts = eopts;
         fopts.memConfig.traceSink = &forkRing;
-        Outcome forkOut;
         uint64_t t0 = nowNs();
-        if (preTerminal) {
-            forkOut = *preTerminal;
-            for (const obs::TraceEvent &e : preludeEvents)
-                forkRing.emit(e);
-        } else {
-            corelang::Machine m(prog, fopts);
-            m.restoreSnapshot(snap);
-            for (const obs::TraceEvent &e : preludeEvents)
-                forkRing.emit(e);
-            m.pokeGlobalInt("__variant", static_cast<int64_t>(k));
-            forkOut = m.runMain();
-        }
+        Outcome forkOut =
+            corelang::runWarm(prog, fopts, *warm, [k](corelang::Machine &m) {
+                m.pokeGlobalInt("__variant", static_cast<int64_t>(k));
+            });
         if (stats)
             stats->forkNs += nowNs() - t0;
 

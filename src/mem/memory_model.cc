@@ -488,7 +488,17 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
     if (!config_.checkProvenance) {
         // Hardware view: no abstract provenance; capability checks
         // were already done.  Still try to find the allocation for
-        // diagnostics without failing.
+        // diagnostics without failing.  Live allocations never
+        // overlap, so when the pointer's own allocation is live and
+        // contains the footprint it is the one the scan would find.
+        if (prov.isAlloc()) {
+            const Allocation *own = cachedAlloc(prov.id);
+            if (own && own->alive && own->containsFootprint(addr, n)) {
+                info.alloc = prov.id;
+                info.haveAlloc = true;
+                return info;
+            }
+        }
         for (const auto &[id, alloc] : allocations_) {
             if (alloc.alive && alloc.containsFootprint(addr, n)) {
                 info.alloc = id;

@@ -83,7 +83,8 @@ struct Allocation
 /** Relational operators on pointers. */
 enum class RelOp { Lt, Gt, Le, Ge };
 
-/** Counters the micro-benchmarks report. */
+/** Memory-model counters: reported by `cherisem_run --stats` and
+ *  `--stats-json`, the serve responses and perfbench. */
 struct MemStats
 {
     uint64_t loads = 0;

@@ -1,14 +1,18 @@
 /**
  * @file
- * The content-hash front cache: parse -> sema -> optimize, keyed by
- * (source bytes, profile name).
+ * The serve layer's two caches, both keyed by (source bytes, profile
+ * name):
  *
- * A CompiledProgram is immutable after construction — sema::Program
- * is plain annotated-AST data — so one shared_ptr can be evaluated
- * by any number of workers concurrently; each evaluation builds its
- * own Machine and MemoryModel.  The profile name is part of the key because the
- * optimisation passes rewrite the AST per profile and the machine
- * layout (capability size) feeds sema.
+ *  - FrontCache: the compiled front half (driver::compile()).  The
+ *    profile name is part of the key because the optimisation passes
+ *    rewrite the AST per profile and the machine layout (capability
+ *    size) feeds sema.
+ *  - WarmCache: the post-prelude fork point (corelang::WarmEntry) of
+ *    each combined prelude + source program on a warm server.
+ *
+ * Both values are immutable shared_ptrs, so one entry can be used by
+ * any number of workers at once; each evaluation builds its own
+ * Machine and MemoryModel.
  *
  * Eviction is LRU under a single mutex: the critical sections are a
  * map lookup and a list splice, orders of magnitude below one
@@ -21,14 +25,12 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
-#include "corelang/optimize.h"
-#include "obs/metrics.h"
-#include "sema/sema.h"
+#include "corelang/machine.h"
+#include "driver/interpreter.h"
 
 namespace cherisem::serve {
 
@@ -44,23 +46,15 @@ fnv1a(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ull)
     return h;
 }
 
-/** The immutable front half of one (source, profile) pair. */
-struct CompiledProgram
-{
-    sema::Program prog;
-    corelang::OptimizeStats optStats;
-    /** What the front half cost when it was compiled (evalNs 0). */
-    obs::PhaseTimings frontPhases;
-};
+using driver::CompiledPtr;
 
-using CompiledPtr = std::shared_ptr<const CompiledProgram>;
-
-class FrontCache
+/** Thread-safe LRU map from a content key to a shared_ptr @p V.
+ *  First insert wins: values for one key are identical by
+ *  determinism, so existing pointers stay canonical. */
+template <typename V>
+class LruCache
 {
   public:
-    /** @p capacity 0 disables caching (every lookup misses). */
-    explicit FrontCache(size_t capacity) : capacity_(capacity) {}
-
     struct Stats
     {
         uint64_t hits = 0;
@@ -77,6 +71,10 @@ class FrontCache
         }
     };
 
+    /** @p capacity 0 disables caching (every lookup misses and
+     *  inserts are dropped). */
+    explicit LruCache(size_t capacity) : capacity_(capacity) {}
+
     /** The cache key: source content hash x profile identity. */
     static uint64_t
     key(const std::string &source, const std::string &profileName)
@@ -87,14 +85,53 @@ class FrontCache
     }
 
     /** nullptr on miss; refreshes LRU position on hit. */
-    CompiledPtr lookup(uint64_t key);
+    V
+    lookup(uint64_t key)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = map_.find(key);
+        if (it == map_.end()) {
+            ++misses_;
+            return nullptr;
+        }
+        ++hits_;
+        lru_.splice(lru_.begin(), lru_, it->second.pos);
+        return it->second.value;
+    }
 
-    /** Insert (no-op if the key raced in already — first wins, the
-     *  values are identical by construction). */
-    void insert(uint64_t key, CompiledPtr prog);
+    void
+    insert(uint64_t key, V value)
+    {
+        if (capacity_ == 0)
+            return;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (map_.count(key))
+            return;
+        while (map_.size() >= capacity_) {
+            map_.erase(lru_.back());
+            lru_.pop_back();
+            ++evictions_;
+        }
+        lru_.push_front(key);
+        map_.emplace(key, Entry{std::move(value), lru_.begin()});
+    }
 
-    Stats stats() const;
-    void clear();
+    Stats
+    stats() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return Stats{hits_, misses_, evictions_, map_.size(),
+                     capacity_};
+    }
+
+    /** Drop every entry; the counters keep counting. */
+    void
+    clear()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        map_.clear();
+        lru_.clear();
+    }
 
   private:
     mutable std::mutex mu_;
@@ -103,12 +140,15 @@ class FrontCache
     std::list<uint64_t> lru_;
     struct Entry
     {
-        CompiledPtr prog;
+        V value;
         std::list<uint64_t>::iterator pos;
     };
     std::unordered_map<uint64_t, Entry> map_;
     uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
+
+using FrontCache = LruCache<CompiledPtr>;
+using WarmCache = LruCache<corelang::WarmPtr>;
 
 } // namespace cherisem::serve
 

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <optional>
 
-#include "corelang/machine.h"
-#include "frontend/parser.h"
 #include "obs/sinks.h"
 
 namespace cherisem::serve {
@@ -58,14 +54,6 @@ resolveOpts(const driver::Profile &profile, const RunSpec &spec,
 
 } // namespace
 
-std::string
-ExecResult::summary() const
-{
-    if (frontendError)
-        return "frontend-error " + frontendMessage;
-    return outcome.summary();
-}
-
 CompiledPtr
 compileFront(const std::string &source,
              const driver::Profile &profile, FrontCache *cache,
@@ -78,44 +66,17 @@ compileFront(const std::string &source,
             return hit;
         }
     }
-    obs::Tracer noTrace; // front-half phases are timed, not traced
-    auto compiled = std::make_shared<CompiledProgram>();
-    try {
-        std::optional<frontend::TranslationUnit> unit;
-        {
-            obs::ScopedPhaseTimer t(&compiled->frontPhases.parseNs,
-                                    noTrace, "parse");
-            unit = frontend::parse(source, filename);
-        }
-        ctype::MachineLayout machine{
-            profile.memConfig.arch->capSize(),
-            profile.memConfig.arch->addrBits() / 8};
-        {
-            obs::ScopedPhaseTimer t(&compiled->frontPhases.semaNs,
-                                    noTrace, "sema");
-            compiled->prog =
-                sema::analyze(std::move(*unit), machine);
-        }
-        {
-            obs::ScopedPhaseTimer t(
-                &compiled->frontPhases.optimizeNs, noTrace,
-                "optimize");
-            compiled->optStats =
-                corelang::optimize(compiled->prog, profile.optims);
-        }
-    } catch (const frontend::FrontendError &e) {
+    // Front-half phases are timed, not traced.
+    Result<CompiledPtr, std::string> compiled =
+        driver::compile(source, profile, filename, obs::Tracer());
+    if (!compiled) {
         result->frontendError = true;
-        result->frontendMessage = e.str();
-        return nullptr;
-    } catch (const sema::SemaError &e) {
-        result->frontendError = true;
-        result->frontendMessage = e.str();
+        result->frontendMessage = compiled.error();
         return nullptr;
     }
-    result->phases.parseNs = compiled->frontPhases.parseNs;
-    result->phases.semaNs = compiled->frontPhases.semaNs;
-    result->phases.optimizeNs = compiled->frontPhases.optimizeNs;
-    CompiledPtr out = compiled;
+    CompiledPtr out = compiled.value();
+    result->optStats = out->optStats;
+    result->phases = out->frontPhases;
     if (cache)
         cache->insert(key, out);
     return out;
@@ -165,90 +126,51 @@ runCompiledWarm(const CompiledPtr &compiled,
                 const ExecLimits &limits, uint64_t warmKey,
                 WarmCache *warm, ExecResult *result)
 {
-    WarmPtr entry = warm ? warm->lookup(warmKey) : nullptr;
+    corelang::WarmPtr entry = warm ? warm->lookup(warmKey) : nullptr;
+    corelang::EvalOptions opts = resolveOpts(profile, spec, limits);
 
-    if (entry && !entry->terminal) {
-        // A snapshot only reproduces a cold run bit-for-bit when the
-        // cold run would actually get through the prelude.  A step
-        // budget the prelude already exceeds, or a digest over a
-        // wrapped (lossy) recording, cannot be served warm.
-        uint64_t maxSteps =
-            spec.maxSteps ? spec.maxSteps : limits.maxSteps;
-        maxSteps = std::min(maxSteps, limits.maxSteps);
-        bool budgetTooTight = entry->snap->steps > maxSteps;
-        bool lossyDigest =
-            spec.traceDigest && entry->preludeDropped > 0;
-        if (budgetTooTight || lossyDigest) {
-            runCompiled(compiled, profile, spec, limits, result);
-            return;
-        }
+    // An entry only reproduces a cold run bit-for-bit when the cold
+    // run would get as far as the entry did.  A step budget below
+    // the prelude's steps, or a digest over a wrapped (lossy)
+    // recording, cannot be served warm.
+    if (entry && (entry->preludeSteps() > opts.maxSteps ||
+                  (spec.traceDigest && entry->preludeDropped > 0))) {
+        runCompiled(compiled, profile, spec, limits, result);
+        return;
     }
 
-    corelang::EvalOptions opts = resolveOpts(profile, spec, limits);
     obs::Tracer noTrace;
     obs::ScopedPhaseTimer t(&result->phases.evalNs, noTrace,
                             "evaluate");
+    obs::RingBufferSink ring(kDigestRingCapacity);
 
     if (!entry) {
         // First request for this program: pay the prelude once,
         // capture the fork point, and serve this request from the
         // machine that just ran it (exactly a cold run).
         result->warmBuild = true;
-        obs::RingBufferSink ring(kDigestRingCapacity);
         corelang::EvalOptions bopts = opts;
         bopts.memConfig.traceSink = &ring;
         corelang::Machine m(compiled->prog, bopts);
-        std::optional<corelang::Outcome> pre = m.runPrelude();
-        auto built = std::make_shared<WarmEntry>();
-        built->preludeEvents = ring.snapshot();
-        built->preludeDropped = ring.dropped();
-        if (pre) {
-            built->terminal = true;
-            built->preludeOutcome = *pre;
-        } else {
-            built->snap = m.capture();
-        }
+        corelang::WarmPtr built = corelang::buildWarm(m, ring);
         // Wall-clock/cancel exhaustion is not a property of the
         // program; deterministic step exhaustion would be, but the
         // distinction lives in a message string, so neither is
         // cached — a retry rebuilds deterministically.
-        bool exhausted = pre &&
-            pre->kind == corelang::Outcome::Kind::ResourceExhausted;
+        bool exhausted = built->terminal &&
+            built->preludeOutcome.kind ==
+                corelang::Outcome::Kind::ResourceExhausted;
         if (!exhausted && warm)
             warm->insert(warmKey, built);
-        result->outcome = pre ? *pre : m.runMain();
-        if (spec.traceDigest) {
-            result->digest =
-                digestEvents(ring.snapshot(), ring.dropped());
-            result->hasDigest = true;
-        }
-        return;
+        result->outcome =
+            built->terminal ? built->preludeOutcome : m.runMain();
+    } else {
+        result->warmHit = true;
+        if (spec.traceDigest)
+            opts.memConfig.traceSink = &ring;
+        result->outcome =
+            corelang::runWarm(compiled->prog, opts, *entry);
     }
-
-    result->warmHit = true;
-    if (entry->terminal) {
-        result->outcome = entry->preludeOutcome;
-        if (spec.traceDigest) {
-            result->digest = digestEvents(entry->preludeEvents,
-                                          entry->preludeDropped);
-            result->hasDigest = true;
-        }
-        return;
-    }
-
-    // Fork: fresh machine, O(pages-touched) restore, replay the
-    // recorded prelude stream (sequence numbers restart per sink, so
-    // the replayed events are byte-identical to a cold prefix), then
-    // run only main().
-    obs::RingBufferSink ring(kDigestRingCapacity);
-    if (spec.traceDigest)
-        opts.memConfig.traceSink = &ring;
-    corelang::Machine m(compiled->prog, opts);
-    m.restoreSnapshot(entry->snap);
-    if (spec.traceDigest)
-        for (const obs::TraceEvent &e : entry->preludeEvents)
-            ring.emit(e);
-    result->outcome = m.runMain();
     if (spec.traceDigest) {
         result->digest = digestEvents(ring.snapshot(), ring.dropped());
         result->hasDigest = true;

@@ -1,17 +1,22 @@
 /**
  * @file
- * One request's execution: the cache-aware replacement for
- * driver::runSource().
+ * One request's execution: driver::runSource() with two caches.
  *
- * The front half (parse -> sema -> optimize) is
- * looked up in / inserted into the FrontCache; evaluation always
- * runs fresh with its own MemoryModel, optional per-request step
- * budget, wall-clock deadline and cooperative cancel flag, and an
- * optional private RingBufferSink whose event stream is folded into
- * a FNV-1a witness digest.  Identical requests therefore produce
- * byte-identical ExecResults whether they hit or miss the cache,
- * run single-threaded or on a pool — the determinism contract the
- * serve tests enforce.
+ * The front half (driver::compile()) is looked up in / inserted into
+ * the FrontCache; evaluation always runs fresh with its own
+ * MemoryModel, optional per-request step budget, wall-clock deadline
+ * and cooperative cancel flag, and an optional private
+ * RingBufferSink whose event stream is folded into a FNV-1a witness
+ * digest.  Identical requests therefore produce byte-identical
+ * ExecResults whether they hit or miss the cache, run
+ * single-threaded or on a pool — the determinism contract the serve
+ * tests enforce.
+ *
+ * Warm serving (`cherisem_serve --warm FILE`) prepends one prelude
+ * source to every request and keeps, per combined program, the
+ * corelang::WarmEntry fork point in the WarmCache: the first request
+ * for a program pays the prelude once ("warm build"), every repeat
+ * runs only main() from the snapshot ("warm hit").
  */
 #ifndef CHERISEM_SERVE_EXEC_H
 #define CHERISEM_SERVE_EXEC_H
@@ -20,9 +25,8 @@
 #include <cstdint>
 #include <string>
 
-#include "driver/profiles.h"
+#include "driver/interpreter.h"
 #include "serve/cache.h"
-#include "serve/warm.h"
 
 namespace cherisem::serve {
 
@@ -37,12 +41,9 @@ struct ExecLimits
     const std::atomic<bool> *cancel = nullptr;
 };
 
-struct ExecResult
+/** A runSource() result plus what the caches did. */
+struct ExecResult : driver::RunResult
 {
-    bool frontendError = false;
-    std::string frontendMessage;
-    corelang::Outcome outcome;
-    obs::PhaseTimings phases;
     bool cacheHit = false;
     /** This run restored a warm post-prelude snapshot and executed
      *  only main(). */
@@ -54,16 +55,11 @@ struct ExecResult
      *  hasDigest). */
     uint64_t digest = 0;
     bool hasDigest = false;
-
-    /** "exit 0" / "ub UB_..." / "frontend-error ..." — mirrors
-     *  driver::RunResult::summary(). */
-    std::string summary() const;
 };
 
-/** Compile @p source's front half under @p profile, through
- *  @p cache when non-null (a null cache always compiles fresh).
- *  Returns nullptr and fills @p result's frontend error fields on
- *  lex/parse/sema failure. */
+/** driver::compile() through @p cache when non-null (a null cache
+ *  always compiles fresh).  Returns nullptr and fills @p result's
+ *  frontend error fields on lex/parse/sema failure. */
 CompiledPtr compileFront(const std::string &source,
                          const driver::Profile &profile,
                          FrontCache *cache, ExecResult *result,
@@ -90,12 +86,11 @@ ExecResult runRequest(const std::string &source,
                       FrontCache *cache);
 
 /** Evaluate @p compiled through @p warm (keyed by @p warmKey): the
- *  first run executes globals + __prelude() once, captures the COW
- *  snapshot and serves main() from the same machine; later runs
- *  restore the snapshot into a fresh machine and execute only
- *  main().  Falls back to runCompiled() when the snapshot cannot
- *  reproduce a cold run bit-for-bit (step budget tighter than the
- *  prelude, digest requested but the recorded stream wrapped). */
+ *  first run builds the fork point (corelang::buildWarm) and serves
+ *  main() from the same machine; later runs fork it
+ *  (corelang::runWarm).  Falls back to runCompiled() when the entry
+ *  cannot reproduce a cold run bit-for-bit (step budget tighter than
+ *  the prelude, digest requested but the recorded stream wrapped). */
 void runCompiledWarm(const CompiledPtr &compiled,
                      const driver::Profile &profile,
                      const RunSpec &spec, const ExecLimits &limits,

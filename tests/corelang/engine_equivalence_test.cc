@@ -22,20 +22,15 @@
  *
  * A program whose prelude terminates (UB in a global initialiser,
  * exit() in __prelude) has no fork point; its warm outcome is the
- * prelude's, as in serve::WarmEntry::terminal.
+ * prelude's, as in corelang::WarmEntry::terminal.
  */
 #include <gtest/gtest.h>
 
-#include <optional>
-
-#include "corelang/eval.h"
 #include "corelang/machine.h"
-#include "corelang/optimize.h"
+#include "driver/interpreter.h"
 #include "driver/suite.h"
-#include "frontend/parser.h"
 #include "obs/sinks.h"
 #include "obs/trace_diff.h"
-#include "sema/sema.h"
 
 namespace cherisem::driver {
 namespace {
@@ -50,26 +45,15 @@ suite()
     return tests;
 }
 
-/** Parse, analyse and optimise @p t under @p profile, as runSource
- *  does. */
-sema::Program
-compile(const SuiteTest &t, const Profile &profile)
-{
-    frontend::TranslationUnit unit = frontend::parse(t.source, t.path);
-    ctype::MachineLayout machine{profile.memConfig.arch->capSize(),
-                                 profile.memConfig.arch->addrBits() / 8};
-    sema::Program prog = sema::analyze(std::move(unit), machine);
-    corelang::optimize(prog, profile.optims);
-    return prog;
-}
-
 /** Assert the cold and warm entries agreed on everything
  *  observable. */
 void
 expectWarmMatchesCold(const SuiteTest &t, const Profile &profile)
 {
-    sema::Program prog;
-    ASSERT_NO_THROW(prog = compile(t, profile)) << t.path;
+    Result<CompiledPtr, std::string> compiled =
+        compile(t.source, profile, t.path, obs::Tracer());
+    ASSERT_TRUE(compiled) << t.path;
+    const sema::Program &prog = compiled.value()->prog;
     const corelang::EvalOptions opts = profile.evalOptions();
     constexpr size_t kRing = 1 << 17;
 
@@ -83,27 +67,14 @@ expectWarmMatchesCold(const SuiteTest &t, const Profile &profile)
     corelang::EvalOptions bo = opts;
     bo.memConfig.traceSink = &buildRing;
     Machine builder(prog, bo);
-    std::optional<Outcome> pre = builder.runPrelude();
-    Machine::SnapshotPtr snap;
-    if (!pre)
-        snap = builder.capture();
-    std::vector<obs::TraceEvent> preludeEvents = buildRing.snapshot();
+    corelang::WarmPtr entry = corelang::buildWarm(builder, buildRing);
 
+    // Fork: restore into a fresh machine, replay the recorded prefix
+    // (re-stamped 0..P-1, the cold prefix), run main().
     obs::RingBufferSink warmRing(kRing);
-    Outcome warm;
-    if (pre) {
-        warm = *pre;
-        for (const obs::TraceEvent &e : preludeEvents)
-            warmRing.emit(e);
-    } else {
-        corelang::EvalOptions wo = opts;
-        wo.memConfig.traceSink = &warmRing;
-        Machine m(prog, wo);
-        m.restoreSnapshot(snap);
-        for (const obs::TraceEvent &e : preludeEvents)
-            warmRing.emit(e); // re-stamped 0..P-1, the cold prefix
-        warm = m.runMain();
-    }
+    corelang::EvalOptions wo = opts;
+    wo.memConfig.traceSink = &warmRing;
+    Outcome warm = corelang::runWarm(prog, wo, *entry);
 
     EXPECT_EQ(coldRing.dropped(), 0u) << t.path << ": ring overflow";
     EXPECT_EQ(buildRing.dropped(), 0u) << t.path << ": ring overflow";
