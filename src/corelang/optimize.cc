@@ -242,6 +242,8 @@ class Optimizer
         n->isArrow = e.isArrow;
         n->implicitCast = e.implicitCast;
         n->typeOperand = e.typeOperand;
+        n->nameKind = e.nameKind;
+        n->slot = e.slot;
         n->isEnumConst = e.isEnumConst;
         n->enumValue = e.enumValue;
         if (e.lhs)

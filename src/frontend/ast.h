@@ -48,6 +48,16 @@ enum class BinOp
  *  (section 3.7). */
 enum class DerivSource { Left, Right, None };
 
+/** What an identifier names, resolved once by sema.  Enumerator
+ *  constants keep their own flag (Expr::isEnumConst). */
+enum class NameKind : uint8_t
+{
+    None,     ///< unresolved: a builtin callee, or an enumerator
+    Local,    ///< Expr::slot is a slot of the enclosing call frame
+    Global,   ///< Expr::slot indexes the program's global slots
+    Function, ///< Expr::slot indexes TranslationUnit::functions
+};
+
 struct Expr
 {
     enum class Kind
@@ -99,6 +109,11 @@ struct Expr
     bool implicitCast = false;
     /** For Binary/Assign on capability-carrying types. */
     DerivSource deriv = DerivSource::None;
+    /** Resolved identifier (Ident); see NameKind for what slot
+     *  indexes.  For StringLit, slot is the literal's program-wide
+     *  index, which gives each literal expression its one object. */
+    NameKind nameKind = NameKind::None;
+    uint32_t slot = 0;
     /** Resolved enumerator constant (Ident naming an enum value). */
     bool isEnumConst = false;
     __int128 enumValue = 0;
@@ -134,6 +149,11 @@ struct VarDecl
     bool isStatic = false;
     bool isExtern = false;
     SourceLoc loc;
+    /** Filled by sema: a local's frame slot, or a global's slot (all
+     *  declarations of one global name share it). */
+    uint32_t slot = 0;
+    /** Filled by sema for a static local: its program-wide index. */
+    uint32_t staticSlot = 0;
 };
 
 struct Stmt
@@ -188,6 +208,9 @@ struct FunctionDef
     std::vector<std::string> paramNames;
     StmtPtr body;        ///< null for a prototype
     SourceLoc loc;
+    /** Filled by sema: frame slots one call needs.  Parameters take
+     *  slots 0..params-1, each block-scope declaration one more. */
+    uint32_t numSlots = 0;
 };
 
 /** A parsed translation unit. */

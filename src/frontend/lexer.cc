@@ -95,8 +95,10 @@ class Lexer
      * not expanded again (self-reference stays an identifier).
      */
     Lexer(std::string_view src, const FileName &file,
-          const Lexer *parent = nullptr, std::string_view expanding = {})
-        : src_(src), file_(file), parent_(parent), expanding_(expanding)
+          std::vector<FileName> *files, const Lexer *parent = nullptr,
+          std::string_view expanding = {})
+        : src_(src), file_(&file), files_(files), parent_(parent),
+          expanding_(expanding), fileIdx_(parent ? parent->fileIdx_ : 0)
     {
     }
 
@@ -124,7 +126,7 @@ class Lexer
                     // Object-like macro expansion: lex the body and
                     // splice its tokens in at the use site.
                     size_t first = out.size();
-                    Lexer sub(body, file_, this, word);
+                    Lexer sub(body, *file_, files_, this, word);
                     sub.run(out);
                     for (size_t i = first; i < out.size(); ++i) {
                         out[i].line = line;
@@ -150,14 +152,15 @@ class Lexer
     }
 
   private:
-    static Token &
+    Token &
     push(std::vector<Token> &out, Tok kind, uint32_t line,
-         uint32_t column)
+         uint32_t column) const
     {
         Token &t = out.emplace_back();
         t.kind = kind;
         t.line = line;
         t.column = column;
+        t.file = fileIdx_;
         return t;
     }
 
@@ -193,13 +196,13 @@ class Lexer
     [[noreturn]] void
     fail(const std::string &msg) const
     {
-        throw FrontendError{SourceLoc{file_, line_, col_}, msg};
+        throw FrontendError{SourceLoc{*file_, line_, col_}, msg};
     }
 
     [[noreturn]] void
     failAt(const Token &t, const std::string &msg) const
     {
-        throw FrontendError{SourceLoc{file_, t.line, t.column}, msg};
+        throw FrontendError{SourceLoc{*file_, t.line, t.column}, msg};
     }
 
     char peek(size_t off = 0) const
@@ -299,11 +302,52 @@ class Lexer
             }
             if (!name.empty())
                 macros_.insert_or_assign(std::string(name), std::move(body));
+        } else if (word == "line") {
+            lineDirective();
         } else {
             // #include and anything else: skip the line.
             while (peek() && peek() != '\n')
                 advance();
         }
+    }
+
+    /** `#line N ["name"]`: the next line is line N (of file name). */
+    void
+    lineDirective()
+    {
+        while (peek() == ' ' || peek() == '\t')
+            advance();
+        if (!isDigit(peek()))
+            fail("#line expects a line number");
+        uint64_t n = 0;
+        while (isDigit(peek())) {
+            n = n * 10 + static_cast<uint64_t>(advance() - '0');
+            if (n > UINT32_MAX)
+                fail("#line number out of range");
+        }
+        if (n == 0)
+            fail("#line number out of range");
+        while (peek() == ' ' || peek() == '\t')
+            advance();
+        if (peek() == '"') {
+            advance();
+            std::string name;
+            while (peek() && peek() != '"' && peek() != '\n')
+                name += advance();
+            if (peek() != '"')
+                fail("unterminated #line file name");
+            advance();
+            lineFile_ = makeFileName(std::move(name));
+            file_ = &lineFile_;
+            if (files_) {
+                files_->push_back(lineFile_);
+                fileIdx_ = static_cast<uint32_t>(files_->size() - 1);
+            }
+        }
+        while (peek() && peek() != '\n')
+            advance();
+        // The newline ending the directive moves to line n.
+        line_ = static_cast<uint32_t>(n) - 1;
     }
 
     void
@@ -525,13 +569,20 @@ class Lexer
     }
 
     std::string_view src_;
-    const FileName &file_;
+    /** The current file: the one lexing started in, or lineFile_. */
+    const FileName *file_;
+    /** The file named by the last `#line N "name"`. */
+    FileName lineFile_;
+    /** Receives every file #line names (may be null). */
+    std::vector<FileName> *files_;
     const Lexer *parent_;
     /** The macro whose body this lexer reads; empty at top level. */
     std::string_view expanding_;
     size_t pos_ = 0;
     uint32_t line_ = 1;
     uint32_t col_ = 1;
+    /** Token::file of the tokens this lexer emits. */
+    uint32_t fileIdx_;
     /** This lexer's own `#define`s; they shadow the predefined ones. */
     std::map<std::string, std::string, std::less<>> macros_;
 };
@@ -539,13 +590,16 @@ class Lexer
 } // namespace
 
 std::vector<Token>
-lex(std::string_view source, const FileName &file)
+lex(std::string_view source, const FileName &file,
+    std::vector<FileName> *files)
 {
     std::vector<Token> out;
     // The suite corpus averages about ten source bytes per token; a
     // quarter of the length also covers dense, comment-free code.
     out.reserve(source.size() / 4 + 8);
-    Lexer(source, file).run(out);
+    if (files)
+        files->assign(1, file);
+    Lexer(source, file, files).run(out);
     return out;
 }
 

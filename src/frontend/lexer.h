@@ -33,8 +33,14 @@ struct FrontendError
 /**
  * Tokenize @p source.  Throws FrontendError on malformed input; its
  * location carries @p file.  The last token is always Tok::End.
+ *
+ * A `#line N` directive renumbers the following lines from N;
+ * `#line N "name"` also names their file.  When @p files is given it
+ * receives the file table Token::file indexes: @p file first, then
+ * one entry per named `#line`.
  */
-std::vector<Token> lex(std::string_view source, const FileName &file);
+std::vector<Token> lex(std::string_view source, const FileName &file,
+                       std::vector<FileName> *files = nullptr);
 
 /** As above, with a fresh handle for @p filename. */
 std::vector<Token> lex(std::string_view source,

@@ -96,8 +96,8 @@ builtinTypedefs()
 class Parser
 {
   public:
-    Parser(std::vector<Token> toks, FileName file)
-        : toks_(std::move(toks)), file_(std::move(file))
+    Parser(std::vector<Token> toks, std::vector<FileName> files)
+        : toks_(std::move(toks)), files_(std::move(files))
     {
     }
 
@@ -131,7 +131,7 @@ class Parser
 
     SourceLoc locOf(const Token &t) const
     {
-        return SourceLoc{file_, t.line, t.column};
+        return SourceLoc{files_[t.file], t.line, t.column};
     }
 
     /** The type a typedef name denotes: the user's own typedefs first,
@@ -1080,7 +1080,8 @@ class Parser
     }
 
     const std::vector<Token> toks_;
-    const FileName file_;
+    /** The lexer's file table (Token::file indexes it). */
+    const std::vector<FileName> files_;
     size_t pos_ = 0;
     TranslationUnit unit_;
     /** The user's own typedefs; they shadow the builtin ones. */
@@ -1092,8 +1093,9 @@ class Parser
 TranslationUnit
 parse(const std::string &source, const std::string &filename)
 {
-    FileName file = makeFileName(filename);
-    Parser p(lex(source, file), file);
+    std::vector<FileName> files;
+    std::vector<Token> toks = lex(source, makeFileName(filename), &files);
+    Parser p(std::move(toks), std::move(files));
     return p.run();
 }
 

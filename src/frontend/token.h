@@ -52,6 +52,9 @@ struct Token
     /** 1-based position of the token's first character. */
     uint32_t line = 0;
     uint32_t column = 0;
+    /** Index of the token's file in the lexer's file table: 0 is the
+     *  file lexing started in, each `#line N "name"` adds one. */
+    uint32_t file = 0;
     /** Identifier / string-literal spelling; empty otherwise. */
     std::string text;
     /** Integer / char literal value. */

@@ -219,9 +219,9 @@ MemoryModel::store(const SourceLoc &loc, const TypeRef &ty,
             return slowStore(loc, ty, p, v, initializing, n, align);
         const IntegerValue &iv = v.asInteger();
         uint128 raw = static_cast<uint128>(iv.value());
-        if (n == 1 && iv.byteCopy && iv.byteCopy->value &&
-            *iv.byteCopy->value == static_cast<uint8_t>(raw) &&
-            (!iv.byteCopy->prov.isEmpty() || iv.byteCopy->index)) {
+        if (n == 1 && iv.byteCopy &&
+            iv.byteCopy.value() == static_cast<uint8_t>(raw) &&
+            (!iv.byteCopy.prov().isEmpty() || iv.byteCopy.index())) {
             // repr() writes the original heavy byte back verbatim
             // (capability-representation copy); must go slow.
             return slowStore(loc, ty, p, v, initializing, n, align);

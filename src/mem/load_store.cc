@@ -168,8 +168,8 @@ MemoryModel::reprValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty,
             return Unit{};
         }
         uint128 raw = static_cast<uint128>(iv.value());
-        if (n == 1 && iv.byteCopy && iv.byteCopy->value &&
-            *iv.byteCopy->value == static_cast<uint8_t>(raw)) {
+        if (n == 1 && iv.byteCopy &&
+            iv.byteCopy.value() == static_cast<uint8_t>(raw)) {
             // Byte-wise copy of (possibly) capability representation
             // bytes: write the original abstract byte back verbatim,
             // preserving provenance and pointer index so a later
@@ -274,7 +274,7 @@ MemoryModel::reprValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty,
             if (!fl.found)
                 return Failure::internal("repr: no member " + name,
                                          loc);
-            CHERISEM_TRYV(reprValue(loc, addr + fl.offset, fl.type,
+            CHERISEM_TRYV(reprValue(loc, addr + fl.offset, *fl.type,
                                     mv));
         }
         return Unit{};
@@ -481,7 +481,7 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
         sv.tag = ty->tag;
         for (const ctype::Member &m : def.members) {
             ctype::FieldLoc fl = layout_.fieldOf(ty->tag, m.name);
-            CHERISEM_TRY(mv, abstValue(loc, addr + fl.offset, fl.type));
+            CHERISEM_TRY(mv, abstValue(loc, addr + fl.offset, *fl.type));
             sv.members.emplace_back(m.name, std::move(mv));
         }
         return MemValue(std::move(sv));

@@ -23,6 +23,7 @@
 #include "cap/capability.h"
 #include "ctype/ctype.h"
 #include "mem/provenance.h"
+#include "support/boxed.h"
 
 namespace cherisem::mem {
 
@@ -48,17 +49,70 @@ struct CapMeta
 };
 
 /**
+ * IntegerValue::byteCopy: an optional AbsByte packed into 24 bytes
+ * (the provenance, then the byte value and the pointer index with
+ * their presence bits), against 40 for std::optional<AbsByte>.
+ */
+class PackedByte
+{
+  public:
+    PackedByte &
+    operator=(const AbsByte &b)
+    {
+        prov_ = b.prov;
+        value_ = b.value.value_or(0);
+        index_ = b.index.value_or(0);
+        flags_ = kEngaged | (b.value ? kHasValue : 0) |
+            (b.index ? kHasIndex : 0);
+        return *this;
+    }
+
+    explicit operator bool() const { return flags_ & kEngaged; }
+    const Provenance &prov() const { return prov_; }
+    std::optional<uint8_t>
+    value() const
+    {
+        if (flags_ & kHasValue)
+            return value_;
+        return std::nullopt;
+    }
+    std::optional<uint32_t>
+    index() const
+    {
+        if (flags_ & kHasIndex)
+            return index_;
+        return std::nullopt;
+    }
+    /** The byte, unpacked (only meaningful when engaged). */
+    AbsByte operator*() const { return AbsByte{prov_, value(), index()}; }
+
+  private:
+    static constexpr uint8_t kEngaged = 1;
+    static constexpr uint8_t kHasValue = 2;
+    static constexpr uint8_t kHasIndex = 4;
+
+    Provenance prov_;
+    uint32_t index_ = 0;
+    uint8_t value_ = 0;
+    uint8_t flags_ = 0;
+};
+
+/**
  * An integer value: either a pure mathematical integer, or — for the
  * capability-carrying (u)intptr_t types — a capability plus
  * provenance.
+ *
+ * Only (u)intptr_t values carry a capability, so it lives out of
+ * line (Boxed): an ordinary integer is the number, a null box, the
+ * provenance and the packed byte-copy record — a fraction of the
+ * capability's own size.
  */
 struct IntegerValue
 {
-    ctype::IntKind kind = ctype::IntKind::Int;
     /** Numeric value when this is a pure integer. */
     __int128 num = 0;
     /** Engaged exactly when kind is Intptr/Uintptr. */
-    std::optional<Capability> cap;
+    Boxed<Capability> cap;
     /** PNVI provenance (meaningful for capability values). */
     Provenance prov;
     /**
@@ -69,7 +123,8 @@ struct IntegerValue
      * (and lets the ghost-state rule of section 3.5 recognise the
      * copy).  Any arithmetic drops it.
      */
-    std::optional<AbsByte> byteCopy;
+    PackedByte byteCopy;
+    ctype::IntKind kind = ctype::IntKind::Int;
 
     bool isCap() const { return cap.has_value(); }
 
@@ -249,6 +304,13 @@ struct MemValue
         return std::get<FloatingValue>(v);
     }
 };
+
+// Size budgets of the value representation: every int temporary of
+// the evaluator is an IntegerValue inside a MemValue, so these sizes
+// are paid per step.  PointerValue (176 B) bounds MemValue.
+static_assert(sizeof(PackedByte) <= 24, "PackedByte grew");
+static_assert(sizeof(IntegerValue) <= 96, "IntegerValue grew");
+static_assert(sizeof(MemValue) <= 192, "MemValue grew");
 
 /** Debug/diagnostic rendering of a value. */
 std::string memValueStr(const MemValue &v);

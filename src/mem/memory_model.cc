@@ -693,7 +693,7 @@ MemoryModel::memberShift(const SourceLoc &loc, const PointerValue &p,
         !p.cap->isSealed()) {
         // Opt-in stricter mode (section 3.8): narrow the capability
         // to exactly the member's footprint.
-        uint64_t msize = layout_.sizeOf(fl.type);
+        uint64_t msize = layout_.sizeOf(*fl.type);
         out.cap = p.cap->withAddress(member_addr)
                       .withBounds(member_addr,
                                   uint128(member_addr) + msize);

@@ -39,10 +39,17 @@ class Analyzer
             if (it == prog_.functionIndex.end() || fn.body)
                 prog_.functionIndex[fn.name] = i;
         }
-        // Globals form the outermost scope.
+        // Globals form the outermost scope.  Every declaration of one
+        // name shares its slot.
         pushScope();
         for (frontend::VarDecl &g : prog_.unit.globals) {
-            declare(g.name, g.type, g.loc);
+            auto [it, fresh] = prog_.globalSlots.try_emplace(
+                g.name, prog_.numGlobalSlots);
+            if (fresh)
+                ++prog_.numGlobalSlots;
+            g.slot = it->second;
+            declare(g.name, Var{g.type, frontend::NameKind::Global, g.slot},
+                    g.loc);
             if (g.hasInit)
                 checkInitializer(g.init, g.type);
         }
@@ -51,14 +58,22 @@ class Analyzer
                 continue;
             currentReturn_ = fn.type->returnType;
             pushScope();
+            // Parameters take the first slots, named or not.
+            nextSlot_ = static_cast<uint32_t>(fn.type->params.size());
             for (size_t i = 0; i < fn.type->params.size(); ++i) {
                 std::string name = i < fn.paramNames.size()
                                        ? fn.paramNames[i]
                                        : "";
-                if (!name.empty())
-                    declare(name, fn.type->params[i], fn.loc);
+                if (!name.empty()) {
+                    declare(name,
+                            Var{fn.type->params[i],
+                                frontend::NameKind::Local,
+                                static_cast<uint32_t>(i)},
+                            fn.loc);
+                }
             }
             checkStmt(*fn.body);
+            fn.numSlots = nextSlot_;
             popScope();
         }
         popScope();
@@ -73,18 +88,27 @@ class Analyzer
 
     // ---- scopes ----
 
+    /** A declared variable: its type and where the evaluator finds
+     *  it (a frame slot or a global slot). */
+    struct Var
+    {
+        TypeRef type;
+        frontend::NameKind kind = frontend::NameKind::None;
+        uint32_t slot = 0;
+    };
+
     void pushScope() { scopes_.emplace_back(); }
     void popScope() { scopes_.pop_back(); }
 
     void
-    declare(const std::string &name, TypeRef ty, const SourceLoc &loc)
+    declare(const std::string &name, Var var, const SourceLoc &loc)
     {
         if (name.empty())
             fail(loc, "missing declarator name");
-        scopes_.back()[name] = std::move(ty);
+        scopes_.back()[name] = std::move(var);
     }
 
-    const TypeRef *
+    const Var *
     lookupVar(const std::string &name) const
     {
         for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
@@ -268,16 +292,21 @@ class Analyzer
                 ctype::withConst(intType(IntKind::Char), true),
                 e->text.size() + 1);
             e->isLValue = true;
+            e->slot = prog_.numStringLits++;
             return;
           case Expr::Kind::Ident: {
-            if (const TypeRef *t = lookupVar(e->text)) {
-                e->type = *t;
+            if (const Var *v = lookupVar(e->text)) {
+                e->type = v->type;
                 e->isLValue = true;
+                e->nameKind = v->kind;
+                e->slot = v->slot;
                 return;
             }
             auto fi = prog_.functionIndex.find(e->text);
             if (fi != prog_.functionIndex.end()) {
                 e->type = prog_.unit.functions[fi->second].type;
+                e->nameKind = frontend::NameKind::Function;
+                e->slot = fi->second;
                 return;
             }
             auto ei = prog_.unit.enumConstants.find(e->text);
@@ -371,7 +400,7 @@ class Analyzer
             ctype::FieldLoc fl = layout_.fieldOf(tag, e->text);
             if (!fl.found)
                 fail(e->loc, "no member named '" + e->text + "'");
-            e->type = fl.type;
+            e->type = *fl.type;
             e->isLValue = true;
             return;
           }
@@ -747,7 +776,12 @@ class Analyzer
                             d.init.expr->text.size() + 1);
                     }
                 }
-                declare(d.name, d.type, d.loc);
+                d.slot = nextSlot_++;
+                if (d.isStatic)
+                    d.staticSlot = prog_.numStaticLocals++;
+                declare(d.name,
+                        Var{d.type, frontend::NameKind::Local, d.slot},
+                        d.loc);
                 if (d.hasInit)
                     checkInitializer(d.init, d.type);
             }
@@ -804,8 +838,10 @@ class Analyzer
 
     Program &prog_;
     ctype::LayoutEngine layout_;
-    std::vector<std::map<std::string, TypeRef>> scopes_;
+    std::vector<std::map<std::string, Var>> scopes_;
     TypeRef currentReturn_;
+    /** Next free frame slot of the function being checked. */
+    uint32_t nextSlot_ = 0;
 };
 
 } // namespace

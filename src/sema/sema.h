@@ -37,6 +37,13 @@ struct Program
     /** name -> index into unit.functions (bodies only). */
     std::map<std::string, uint32_t> functionIndex;
     ctype::MachineLayout machine;
+    /** Dense index spaces the evaluator sizes its environment by:
+     *  global names, static locals and string-literal expressions. */
+    uint32_t numGlobalSlots = 0;
+    uint32_t numStaticLocals = 0;
+    uint32_t numStringLits = 0;
+    /** global name -> its slot (for callers that name a global). */
+    std::map<std::string, uint32_t> globalSlots;
 };
 
 /**

@@ -146,8 +146,11 @@ runCompiledWarm(const CompiledPtr &compiled,
 
     if (!entry) {
         // First request for this program: pay the prelude once,
-        // capture the fork point, and serve this request from the
-        // machine that just ran it (exactly a cold run).
+        // traced into the ring (the entry records its events), and
+        // capture the fork point.  A digest request goes on with the
+        // machine that just ran it (exactly a cold run, its stream
+        // whole in the ring); any other request runs main() untraced
+        // from the entry, as a warm hit would.
         result->warmBuild = true;
         corelang::EvalOptions bopts = opts;
         bopts.memConfig.traceSink = &ring;
@@ -162,8 +165,13 @@ runCompiledWarm(const CompiledPtr &compiled,
                 corelang::Outcome::Kind::ResourceExhausted;
         if (!exhausted && warm)
             warm->insert(warmKey, built);
-        result->outcome =
-            built->terminal ? built->preludeOutcome : m.runMain();
+        if (built->terminal)
+            result->outcome = built->preludeOutcome;
+        else if (spec.traceDigest)
+            result->outcome = m.runMain();
+        else
+            result->outcome =
+                corelang::runWarm(compiled->prog, opts, *built);
     } else {
         result->warmHit = true;
         if (spec.traceDigest)
@@ -177,6 +185,15 @@ runCompiledWarm(const CompiledPtr &compiled,
     }
 }
 
+std::string
+joinWarmSource(const std::string &preludeSource, const std::string &source)
+{
+    std::string out = preludeSource;
+    out += "\n#line 1 \"<input>\"\n";
+    out += source;
+    return out;
+}
+
 ExecResult
 runRequestWarm(const std::string &preludeSource,
                const std::string &source,
@@ -185,9 +202,7 @@ runRequestWarm(const std::string &preludeSource,
                WarmCache *warm)
 {
     ExecResult result;
-    std::string combined = preludeSource;
-    combined.push_back('\n');
-    combined += source;
+    std::string combined = joinWarmSource(preludeSource, source);
     CompiledPtr compiled =
         compileFront(combined, profile, cache, &result, "<warm>");
     if (!compiled)

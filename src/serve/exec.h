@@ -97,9 +97,17 @@ void runCompiledWarm(const CompiledPtr &compiled,
                      uint64_t warmKey, WarmCache *warm,
                      ExecResult *result);
 
-/** The warm-serving request path: compile (prelude + "\n" + source)
- *  through @p cache, then runCompiledWarm.  Responses carry the same
- *  stable fields a cold run of the combined program produces. */
+/** The program a warm request runs: the prelude, then
+ *  `#line 1 "<input>"`, then @p source, so that locations in the
+ *  request (UB reports, assert messages, frontend errors) name the
+ *  request's own lines. */
+std::string joinWarmSource(const std::string &preludeSource,
+                           const std::string &source);
+
+/** The warm-serving request path: compile joinWarmSource(prelude,
+ *  source) through @p cache, then runCompiledWarm.  Responses carry
+ *  the same stable fields a cold run of the combined program
+ *  produces. */
 ExecResult runRequestWarm(const std::string &preludeSource,
                           const std::string &source,
                           const driver::Profile &profile,

@@ -343,6 +343,54 @@ TEST(SourceLocation, OneHandlePerParse)
     EXPECT_EQ(ret.str(), "shared.c:2:18");
 }
 
+TEST(Lexer, LineDirectiveRenumbersAndRenames)
+{
+    std::vector<FileName> files;
+    auto toks = lex("int a;\n#line 40\nint b;\n#line 7 \"req.c\"\n"
+                    "int c;\n#define N 1\nint d = N;",
+                    makeFileName("pre.c"), &files);
+    ASSERT_EQ(files.size(), 2u);
+    EXPECT_EQ(*files[0], "pre.c");
+    EXPECT_EQ(*files[1], "req.c");
+    auto identAt = [&](const char *name) -> const Token & {
+        for (const Token &t : toks)
+            if (t.kind == Tok::Ident && t.text == name)
+                return t;
+        return toks.back();
+    };
+    EXPECT_EQ(identAt("a").line, 1u);
+    EXPECT_EQ(identAt("a").file, 0u);
+    EXPECT_EQ(identAt("b").line, 40u);
+    EXPECT_EQ(identAt("b").file, 0u);
+    EXPECT_EQ(identAt("c").line, 7u);
+    EXPECT_EQ(identAt("c").file, 1u);
+    // A macro expansion takes the file of its use site.
+    EXPECT_EQ(toks[toks.size() - 3].kind, Tok::IntLit);
+    EXPECT_EQ(toks[toks.size() - 3].line, 9u);
+    EXPECT_EQ(toks[toks.size() - 3].file, 1u);
+
+    EXPECT_THROW(lex("#line x\n", "t"), FrontendError);
+    EXPECT_THROW(lex("#line 0\n", "t"), FrontendError);
+    EXPECT_THROW(lex("#line 3 \"open\n", "t"), FrontendError);
+}
+
+TEST(SourceLocation, LineDirectiveNamesLaterLocations)
+{
+    TranslationUnit tu =
+        parse("int g;\n#line 1 \"<request>\"\nint main(void) { return g; }",
+              "prelude.c");
+    EXPECT_EQ(tu.globals[0].loc.str(), "prelude.c:1:5");
+    EXPECT_EQ(tu.functions[0].body->body[0]->loc.str(), "<request>:1:18");
+    try {
+        parse("int g;\n#line 5 \"<request>\"\nint main(void) { return }",
+              "prelude.c");
+        FAIL() << "expected a syntax error";
+    } catch (const FrontendError &e) {
+        EXPECT_EQ(e.loc.fileName(), "<request>");
+        EXPECT_EQ(e.loc.line, 5u);
+    }
+}
+
 TEST(Lexer, UserDefineOverridesPredefined)
 {
     auto toks = lex("#define NULL 0\nNULL", "t");
