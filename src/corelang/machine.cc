@@ -242,8 +242,10 @@ Machine::restoreSnapshot(const SnapshotPtr &snap)
     checkAt_ = nextCheckAt();
 }
 
-WarmPtr
-buildWarm(Machine &m, const obs::RingBufferSink &ring)
+namespace {
+
+std::shared_ptr<WarmEntry>
+buildEntry(Machine &m)
 {
     auto entry = std::make_shared<WarmEntry>();
     std::optional<Outcome> pre = m.runPrelude();
@@ -253,8 +255,22 @@ buildWarm(Machine &m, const obs::RingBufferSink &ring)
     } else {
         entry->snap = m.capture();
     }
+    return entry;
+}
+
+} // namespace
+
+WarmPtr
+buildWarm(Machine &m)
+{
+    return buildEntry(m);
+}
+
+WarmPtr
+buildWarm(Machine &m, const obs::RingBufferSink &ring)
+{
+    std::shared_ptr<WarmEntry> entry = buildEntry(m);
     entry->preludeEvents = ring.snapshot();
-    entry->preludeDropped = ring.dropped();
     return entry;
 }
 
@@ -264,9 +280,12 @@ runWarm(const sema::Program &prog, const EvalOptions &opts,
         const std::function<void(Machine &)> &hook)
 {
     obs::TraceSink *sink = opts.memConfig.traceSink;
+    // Either the entry re-emits the prelude's events or the sink has
+    // them already; never both, never neither.
+    assert(!sink || sink->resumed() != entry.preludeEvents.has_value());
     auto replayPrelude = [&] {
-        if (sink)
-            for (const obs::TraceEvent &e : entry.preludeEvents)
+        if (sink && entry.preludeEvents)
+            for (const obs::TraceEvent &e : *entry.preludeEvents)
                 sink->emit(e);
     };
     if (entry.terminal) {
@@ -308,28 +327,39 @@ void
 Machine::initGlobals()
 {
     const std::vector<frontend::VarDecl> &defs = prog_.unit.globals;
+    // One static object per global slot, at the name's defining
+    // declaration: the one with an initializer, else the last one
+    // (a bare `extern` defines nothing).
     for (uint32_t i = 0; i < defs.size(); ++i) {
         const frontend::VarDecl &g = defs[i];
         if (g.isExtern && !g.hasInit)
             continue;
-        PointerValue place = unwrap(mm_.allocateObject(
-            g.name, g.type, g.type->isConst, /*is_static=*/true));
-        globals_[g.slot] = GlobalBinding{std::move(place), i};
+        GlobalBinding &b = globals_[g.slot];
+        if (!b.bound() || !defs[b.def].hasInit)
+            b.def = i;
     }
-    // Two passes so address-of-global initializers see every
-    // global.  Static storage is zero-initialized first.  Every
-    // declaration of a name addresses the name's last definition.
-    for (const frontend::VarDecl &g : prog_.unit.globals) {
-        const GlobalBinding &b = globals_[g.slot];
-        if (!b.bound())
-            continue;
-        storeZero(g.loc, b.place, g.type);
+    auto defining = [&](uint32_t i) {
+        return globals_[defs[i].slot].def == i;
+    };
+    // Objects are laid out, zeroed and initialized in declaration
+    // order.  Two passes so address-of-global initializers see every
+    // global; static storage is zero-initialized first.
+    for (uint32_t i = 0; i < defs.size(); ++i) {
+        const frontend::VarDecl &g = defs[i];
+        if (defining(i))
+            globals_[g.slot].place = unwrap(mm_.allocateObject(
+                g.name, g.type, g.type->isConst, /*is_static=*/true));
     }
-    for (const frontend::VarDecl &g : prog_.unit.globals) {
-        const GlobalBinding &b = globals_[g.slot];
-        if (!b.bound() || !g.hasInit)
-            continue;
-        storeInitializer(g.loc, b.place, g.type, g.init);
+    for (uint32_t i = 0; i < defs.size(); ++i) {
+        if (defining(i))
+            storeZero(defs[i].loc, globals_[defs[i].slot].place,
+                      defs[i].type);
+    }
+    for (uint32_t i = 0; i < defs.size(); ++i) {
+        const frontend::VarDecl &g = defs[i];
+        if (defining(i) && g.hasInit)
+            storeInitializer(g.loc, globals_[g.slot].place, g.type,
+                             g.init);
     }
 }
 

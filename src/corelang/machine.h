@@ -411,11 +411,14 @@ struct Machine::Snapshot
 
 /**
  * One program's post-prelude fork point.  A warm start must be
- * invisible: restoring the snapshot into a fresh machine and
- * re-emitting the recorded prelude events (sinks stamp their own
- * sequence numbers, so the replayed events are byte-identical to a
- * cold run's prefix) leaves the machine and its witness stream
- * exactly where a cold run stands when __prelude() returns.
+ * invisible: restoring the snapshot into a fresh machine leaves the
+ * machine exactly where a cold run stands when __prelude() returns.
+ * The witness stream must be continued too.  A recorded entry keeps
+ * the build run's prelude events and re-emits them (sinks stamp
+ * their own sequence numbers, so the replayed events are
+ * byte-identical to a cold run's prefix).  An unrecorded entry keeps
+ * none: a traced start from it needs a sink that resumes the stream
+ * (obs::TraceSink::resumed()), its prefix accounted for elsewhere.
  * An entry holds no pointer into the AST it was built over; it is
  * meaningful for any compile of the same source under the same
  * profile.
@@ -430,11 +433,10 @@ struct WarmEntry
     /** Quiescent machine state right after __prelude() returned
      *  (null when terminal). */
     Machine::SnapshotPtr snap;
-    /** The build run's witness events (global init + prelude). */
-    std::vector<obs::TraceEvent> preludeEvents;
-    /** Events the build ring overwrote; non-zero makes
-     *  preludeEvents a suffix of the real stream. */
-    uint64_t preludeDropped = 0;
+    /** The build run's witness events (global init + prelude),
+     *  absent for an unrecorded entry.  A suffix of the real stream
+     *  when the build ring wrapped (its dropped() tells). */
+    std::optional<std::vector<obs::TraceEvent>> preludeEvents;
 
     /** Steps a cold run takes up to the fork point (or to the
      *  prelude's terminal verdict). */
@@ -447,17 +449,22 @@ struct WarmEntry
 
 using WarmPtr = std::shared_ptr<const WarmEntry>;
 
-/** Build step: run globals + __prelude() on the fresh machine @p m,
- *  whose trace sink is @p ring, and capture the fork point.  Unless
- *  the entry is terminal, @p m is left quiescent, so the caller may
- *  go on with m.runMain() — exactly a cold run. */
+/** Build step: run globals + __prelude() on the fresh machine @p m
+ *  and capture the fork point.  Unless the entry is terminal, @p m is
+ *  left quiescent, so the caller may go on with m.runMain() —
+ *  exactly a cold run.  The entry is unrecorded. */
+WarmPtr buildWarm(Machine &m);
+
+/** buildWarm(m) for a machine whose trace sink is @p ring, recording
+ *  the ring's events into the entry. */
 WarmPtr buildWarm(Machine &m, const obs::RingBufferSink &ring);
 
 /** Fork step: a fresh machine over @p prog (which @p entry was built
- *  over) under @p opts restores the snapshot, re-emits the recorded
- *  prelude events into opts' trace sink, runs @p hook (e.g.
+ *  over) under @p opts restores the snapshot, re-emits a recorded
+ *  entry's prelude events into opts' trace sink, runs @p hook (e.g.
  *  Machine::pokeGlobalInt), then main().  A terminal entry re-emits
- *  the events and returns the prelude's outcome. */
+ *  the events and returns the prelude's outcome.  The sink, if any,
+ *  must be resumed exactly when the entry is unrecorded. */
 Outcome runWarm(const sema::Program &prog, const EvalOptions &opts,
                 const WarmEntry &entry,
                 const std::function<void(Machine &)> &hook = {});

@@ -203,6 +203,28 @@ ChromeTraceSink::flush()
 }
 
 // ---------------------------------------------------------------------
+// DigestSink.
+// ---------------------------------------------------------------------
+
+uint64_t
+DigestSink::fold(uint64_t state, const TraceEvent &e, std::string &line)
+{
+    line.clear();
+    appendEventJson(line, e);
+    line += '\n';
+    return fnv1a(line.data(), line.size(), state);
+}
+
+uint64_t
+DigestSink::finish(uint64_t state, uint64_t dropped)
+{
+    // A wrapped ring digests only the retained suffix; folding the
+    // drop count keeps a truncated stream from colliding with a
+    // complete one.
+    return fnv1a(&dropped, sizeof dropped, state);
+}
+
+// ---------------------------------------------------------------------
 // Sink spec parsing.
 // ---------------------------------------------------------------------
 

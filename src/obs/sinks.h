@@ -9,7 +9,9 @@
  *  - ChromeTraceSink  the Chrome trace_event JSON format, viewable in
  *                     chrome://tracing / Perfetto: function frames and
  *                     pipeline phases become duration slices, memory
- *                     events become instants with argument payloads.
+ *                     events become instants with argument payloads;
+ *  - DigestSink       the witness digest, folded as events arrive
+ *                     (nothing retained).
  *
  * makeSink() parses the driver's --trace=<sink>[:<arg>] spec.
  */
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "obs/tracer.h"
+#include "support/hash.h"
 
 namespace cherisem::obs {
 
@@ -115,6 +118,46 @@ class ChromeTraceSink : public TraceSink
     std::vector<Stamped> events_;
     uint64_t startNs_ = 0;
     bool flushed_ = false;
+};
+
+/**
+ * The witness digest of a stream: FNV-1a over each event's
+ * renderEventJson() line plus "\n", then the 8-byte count of leading
+ * events a ring dropped (0 for a whole stream).  The sink folds each
+ * event as it is emitted and keeps only the running state, so a
+ * stream of any length costs one line buffer.
+ *
+ * A resumed sink continues a stream whose head was hashed earlier:
+ * seeded with the head's event count and state, it numbers and folds
+ * the tail exactly as one sink over the whole stream would.
+ */
+class DigestSink : public TraceSink
+{
+  public:
+    DigestSink() = default;
+    DigestSink(uint64_t firstSeq, uint64_t state)
+        : TraceSink(firstSeq), state_(state)
+    {
+    }
+
+    /** The running state: the hash of every line so far. */
+    uint64_t state() const { return state_; }
+
+    /** Fold @p e's line into @p state; @p line is scratch space. */
+    static uint64_t fold(uint64_t state, const TraceEvent &e,
+                         std::string &line);
+    /** Close a digest whose stream lost @p dropped leading events. */
+    static uint64_t finish(uint64_t state, uint64_t dropped);
+
+  protected:
+    void write(const TraceEvent &e) override
+    {
+        state_ = fold(state_, e, line_);
+    }
+
+  private:
+    uint64_t state_ = kFnv1aBasis;
+    std::string line_;
 };
 
 /**

@@ -48,11 +48,12 @@ renderEvent(const TraceEvent &e)
     return s;
 }
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+void
+appendJsonEscaped(std::string &out, const std::string &s)
 {
-    std::string out;
-    out.reserve(s.size());
+    static const char hex[] = "0123456789abcdef";
     for (char c : s) {
         switch (c) {
           case '"':  out += "\\\""; break;
@@ -60,35 +61,67 @@ jsonEscape(const std::string &s)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += strPrintf("\\u%04x", c);
+          default: {
+            auto u = static_cast<unsigned char>(c);
+            if (u < 0x20) {
+                const char esc[] = {'\\', 'u', '0', '0', hex[u >> 4],
+                                    hex[u & 0xf]};
+                out.append(esc, sizeof esc);
             } else {
                 out += c;
             }
+          }
         }
     }
+}
+
+} // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendJsonEscaped(out, s);
     return out;
+}
+
+void
+appendEventJson(std::string &out, const TraceEvent &e)
+{
+    out += "{\"seq\":";
+    appendDec(out, e.seq);
+    out += ",\"kind\":\"";
+    out += eventKindName(e.kind);
+    out += '"';
+    if (e.addr != 0) {
+        out += ",\"addr\":\"";
+        appendHex(out, e.addr);
+        out += '"';
+    }
+    auto field = [&out](const char *key, uint64_t v) {
+        if (v == 0)
+            return;
+        out += key;
+        appendDec(out, v);
+    };
+    field(",\"size\":", e.size);
+    field(",\"a\":", e.a);
+    field(",\"b\":", e.b);
+    field(",\"line\":", e.line);
+    if (!e.label.empty()) {
+        out += ",\"label\":\"";
+        appendJsonEscaped(out, e.label);
+        out += '"';
+    }
+    out += '}';
 }
 
 std::string
 renderEventJson(const TraceEvent &e)
 {
-    std::string s = "{\"seq\":" + decStr(uint128(e.seq)) +
-        ",\"kind\":\"" + eventKindName(e.kind) + "\"";
-    if (e.addr != 0)
-        s += ",\"addr\":\"" + hexStr(e.addr) + "\"";
-    if (e.size != 0)
-        s += ",\"size\":" + decStr(uint128(e.size));
-    if (e.a != 0)
-        s += ",\"a\":" + decStr(uint128(e.a));
-    if (e.b != 0)
-        s += ",\"b\":" + decStr(uint128(e.b));
-    if (e.line != 0)
-        s += ",\"line\":" + decStr(uint128(e.line));
-    if (!e.label.empty())
-        s += ",\"label\":\"" + jsonEscape(e.label) + "\"";
-    s += "}";
+    std::string s;
+    appendEventJson(s, e);
     return s;
 }
 

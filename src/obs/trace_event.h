@@ -101,8 +101,13 @@ struct TraceEvent
 /** Render one event as a compact single line (for logs and diffs). */
 std::string renderEvent(const TraceEvent &e);
 
-/** Render one event as a single-line JSON object (JSONL sinks). */
+/** Render one event as a single-line JSON object (JSONL sinks, and
+ *  the serve layer's witness digest). */
 std::string renderEventJson(const TraceEvent &e);
+
+/** Append renderEventJson(@p e) to @p out, byte for byte; a caller
+ *  that reuses @p out renders without allocating. */
+void appendEventJson(std::string &out, const TraceEvent &e);
 
 /** JSON-escape a string (quotes not included). */
 std::string jsonEscape(const std::string &s);

@@ -35,6 +35,14 @@ namespace cherisem::obs {
 class TraceSink
 {
   public:
+    TraceSink() = default;
+    /** A sink that continues a stream whose first @p firstSeq events
+     *  were emitted (and accounted for) elsewhere: its first event is
+     *  numbered @p firstSeq. */
+    explicit TraceSink(uint64_t firstSeq)
+        : nextSeq_(firstSeq), resumed_(true)
+    {
+    }
     virtual ~TraceSink() = default;
 
     /** Stamp @p e with the next sequence number and record it. */
@@ -45,12 +53,16 @@ class TraceSink
         write(e);
     }
 
-    /** Total events emitted into this sink. */
+    /** Total events of the stream so far: those emitted into this
+     *  sink, plus firstSeq for a resumed one. */
     uint64_t
     emitted() const
     {
         return nextSeq_.load(std::memory_order_relaxed);
     }
+
+    /** Built with a firstSeq: the stream's head lives elsewhere. */
+    bool resumed() const { return resumed_; }
 
     /** Finish any buffered output (file footers etc.). */
     virtual void flush() {}
@@ -65,6 +77,7 @@ class TraceSink
      *  layer gives every request its own sink — see
      *  DESIGN.md "Serving layer". */
     std::atomic<uint64_t> nextSeq_{0};
+    bool resumed_ = false;
 };
 
 /**

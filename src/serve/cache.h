@@ -8,11 +8,15 @@
  *    rewrite the AST per profile and the machine layout (capability
  *    size) feeds sema.
  *  - WarmCache: the post-prelude fork point (corelang::WarmEntry) of
- *    each combined prelude + source program on a warm server.
+ *    each combined prelude + source program on a warm server, with
+ *    its witness-digest prefix once a digest request needed it
+ *    (WarmServeEntry).
  *
- * Both values are immutable shared_ptrs, so one entry can be used by
- * any number of workers at once; each evaluation builds its own
- * Machine and MemoryModel.
+ * Both values are shared_ptrs, so one entry can be used by any number
+ * of workers at once; each evaluation builds its own Machine and
+ * MemoryModel.  The compiled program and the fork point are
+ * immutable; the digest prefix is filled in once, under the entry's
+ * mutex.
  *
  * Eviction is LRU under a single mutex: the critical sections are a
  * map lookup and a list splice, orders of magnitude below one
@@ -25,26 +29,17 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "corelang/machine.h"
 #include "driver/interpreter.h"
+#include "support/hash.h"
 
 namespace cherisem::serve {
-
-/** FNV-1a 64-bit over @p data, continuing from @p h. */
-inline uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ull)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 using driver::CompiledPtr;
 
@@ -147,8 +142,27 @@ class LruCache
     uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 
+/** Where a cold run's witness stream stands at the fork point. */
+struct DigestPrefix
+{
+    /** Events emitted by global init and __prelude(). */
+    uint64_t events = 0;
+    /** obs::DigestSink state after folding them. */
+    uint64_t state = 0;
+};
+
+/** A warm server's entry: an unrecorded fork point and, once
+ *  computed, its digest prefix (see runCompiledWarm). */
+struct WarmServeEntry
+{
+    corelang::WarmPtr warm;
+    /** Guards prefix: workers share entries. */
+    std::mutex mu;
+    std::optional<DigestPrefix> prefix;
+};
+
 using FrontCache = LruCache<CompiledPtr>;
-using WarmCache = LruCache<corelang::WarmPtr>;
+using WarmCache = LruCache<std::shared_ptr<WarmServeEntry>>;
 
 } // namespace cherisem::serve
 

@@ -10,24 +10,31 @@ namespace cherisem::serve {
 namespace {
 
 /** Same capacity as the fuzz differential harness: comfortably
- *  holds every suite program's full stream. */
+ *  holds every suite program's full stream.  A longer stream's
+ *  digest covers the retained suffix and the dropped count. */
 constexpr size_t kDigestRingCapacity = 1 << 17;
 
 uint64_t
-digestEvents(const std::vector<obs::TraceEvent> &events,
-             uint64_t dropped)
+digestRing(const obs::RingBufferSink &ring)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const obs::TraceEvent &e : events) {
-        std::string line = obs::renderEventJson(e);
-        h = fnv1a(line.data(), line.size(), h);
-        h = fnv1a("\n", 1, h);
-    }
-    // A wrapped ring digests only the retained suffix; fold the
-    // drop count so a truncated stream can never collide with a
-    // complete one.
-    h = fnv1a(&dropped, sizeof dropped, h);
-    return h;
+    uint64_t h = kFnv1aBasis;
+    std::string line;
+    for (const obs::TraceEvent &e : ring.snapshot())
+        h = obs::DigestSink::fold(h, e, line);
+    return obs::DigestSink::finish(h, ring.dropped());
+}
+
+/** Close the digest @p sink streamed into @p result.  False when the
+ *  stream outgrew the ring: its digest then covers a suffix, which
+ *  only a cold run through the ring reproduces. */
+bool
+finishDigest(const obs::DigestSink &sink, ExecResult *result)
+{
+    if (sink.emitted() > kDigestRingCapacity)
+        return false;
+    result->digest = obs::DigestSink::finish(sink.state(), 0);
+    result->hasDigest = true;
+    return true;
 }
 
 /** The per-run evaluation options: profile defaults and request
@@ -101,7 +108,7 @@ runCompiled(const CompiledPtr &compiled,
         result->outcome = machine.run();
     }
     if (spec.traceDigest) {
-        result->digest = digestEvents(ring.snapshot(), ring.dropped());
+        result->digest = digestRing(ring);
         result->hasDigest = true;
     }
 }
@@ -120,69 +127,125 @@ runRequest(const std::string &source, const driver::Profile &profile,
     return result;
 }
 
+namespace {
+
+/** The first request for a program: pay the prelude once and cache
+ *  the fork point.  The build runs untraced unless the request wants
+ *  a digest; then it is the cold run itself, streamed into a digest
+ *  sink, and the sink's state at the fork point is the entry's digest
+ *  prefix.  Either way main() goes on from the build's own machine,
+ *  exactly as a cold run would. */
+bool
+serveBuild(const CompiledPtr &compiled, const corelang::EvalOptions &opts,
+           const RunSpec &spec, uint64_t warmKey, WarmCache *warm,
+           ExecResult *result)
+{
+    result->warmBuild = true;
+    obs::DigestSink sink;
+    corelang::EvalOptions bopts = opts;
+    if (spec.traceDigest)
+        bopts.memConfig.traceSink = &sink;
+    corelang::Machine m(compiled->prog, bopts);
+    auto entry = std::make_shared<WarmServeEntry>();
+    entry->warm = corelang::buildWarm(m);
+    const corelang::WarmEntry &built = *entry->warm;
+    if (spec.traceDigest && !built.terminal)
+        entry->prefix = DigestPrefix{sink.emitted(), sink.state()};
+    // Wall-clock/cancel exhaustion is not a property of the program;
+    // deterministic step exhaustion would be, but the distinction
+    // lives in a message string, so neither is cached — a retry
+    // rebuilds deterministically.
+    bool exhausted = built.terminal &&
+        built.preludeOutcome.kind ==
+            corelang::Outcome::Kind::ResourceExhausted;
+    if (!exhausted && warm)
+        warm->insert(warmKey, entry);
+    result->outcome = built.terminal ? built.preludeOutcome : m.runMain();
+    return !spec.traceDigest || finishDigest(sink, result);
+}
+
+/** @p entry's digest prefix, computed on first use by one traced
+ *  prelude run under the entry's own step budget and no deadline.  A
+ *  run cut short by cancellation returns nullopt and caches nothing,
+ *  so a later request retries. */
+std::optional<DigestPrefix>
+digestPrefix(WarmServeEntry &entry, const CompiledPtr &compiled,
+             const driver::Profile &profile, const ExecLimits &limits)
+{
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (!entry.prefix) {
+        obs::DigestSink sink;
+        corelang::EvalOptions opts = profile.evalOptions();
+        opts.maxSteps = entry.warm->preludeSteps();
+        opts.cancel = limits.cancel;
+        opts.memConfig.traceSink = &sink;
+        corelang::Machine m(compiled->prog, opts);
+        if (m.runPrelude())
+            return std::nullopt;
+        entry.prefix = DigestPrefix{sink.emitted(), sink.state()};
+    }
+    return entry.prefix;
+}
+
+/** A repeat request: restore the fork point and run main().  A digest
+ *  streams main()'s events into a sink resumed from the entry's digest
+ *  prefix: no prelude event is replayed, copied or rendered.  False
+ *  when only a cold run gives the digest: a terminal entry, a prefix
+ *  that could not be computed, or a stream that outgrew the ring. */
+bool
+serveHit(WarmServeEntry &entry, const CompiledPtr &compiled,
+         const driver::Profile &profile, corelang::EvalOptions opts,
+         const RunSpec &spec, const ExecLimits &limits,
+         ExecResult *result)
+{
+    const corelang::WarmEntry &warm = *entry.warm;
+    if (!spec.traceDigest) {
+        result->warmHit = true;
+        result->outcome = corelang::runWarm(compiled->prog, opts, warm);
+        return true;
+    }
+    if (warm.terminal)
+        return false;
+    std::optional<DigestPrefix> prefix =
+        digestPrefix(entry, compiled, profile, limits);
+    if (!prefix || prefix->events > kDigestRingCapacity)
+        return false;
+    obs::DigestSink sink(prefix->events, prefix->state);
+    opts.memConfig.traceSink = &sink;
+    result->outcome = corelang::runWarm(compiled->prog, opts, warm);
+    if (!finishDigest(sink, result))
+        return false;
+    result->warmHit = true;
+    return true;
+}
+
+} // namespace
+
 void
 runCompiledWarm(const CompiledPtr &compiled,
                 const driver::Profile &profile, const RunSpec &spec,
                 const ExecLimits &limits, uint64_t warmKey,
                 WarmCache *warm, ExecResult *result)
 {
-    corelang::WarmPtr entry = warm ? warm->lookup(warmKey) : nullptr;
+    std::shared_ptr<WarmServeEntry> entry =
+        warm ? warm->lookup(warmKey) : nullptr;
     corelang::EvalOptions opts = resolveOpts(profile, spec, limits);
 
     // An entry only reproduces a cold run bit-for-bit when the cold
-    // run would get as far as the entry did.  A step budget below
-    // the prelude's steps, or a digest over a wrapped (lossy)
-    // recording, cannot be served warm.
-    if (entry && (entry->preludeSteps() > opts.maxSteps ||
-                  (spec.traceDigest && entry->preludeDropped > 0))) {
+    // run would get as far as the entry did: a step budget below the
+    // prelude's steps cannot be served warm.
+    bool served = false;
+    if (!entry || entry->warm->preludeSteps() <= opts.maxSteps) {
+        obs::Tracer noTrace;
+        obs::ScopedPhaseTimer t(&result->phases.evalNs, noTrace,
+                                "evaluate");
+        served = entry ? serveHit(*entry, compiled, profile, opts, spec,
+                                  limits, result)
+                       : serveBuild(compiled, opts, spec, warmKey, warm,
+                                    result);
+    }
+    if (!served)
         runCompiled(compiled, profile, spec, limits, result);
-        return;
-    }
-
-    obs::Tracer noTrace;
-    obs::ScopedPhaseTimer t(&result->phases.evalNs, noTrace,
-                            "evaluate");
-    obs::RingBufferSink ring(kDigestRingCapacity);
-
-    if (!entry) {
-        // First request for this program: pay the prelude once,
-        // traced into the ring (the entry records its events), and
-        // capture the fork point.  A digest request goes on with the
-        // machine that just ran it (exactly a cold run, its stream
-        // whole in the ring); any other request runs main() untraced
-        // from the entry, as a warm hit would.
-        result->warmBuild = true;
-        corelang::EvalOptions bopts = opts;
-        bopts.memConfig.traceSink = &ring;
-        corelang::Machine m(compiled->prog, bopts);
-        corelang::WarmPtr built = corelang::buildWarm(m, ring);
-        // Wall-clock/cancel exhaustion is not a property of the
-        // program; deterministic step exhaustion would be, but the
-        // distinction lives in a message string, so neither is
-        // cached — a retry rebuilds deterministically.
-        bool exhausted = built->terminal &&
-            built->preludeOutcome.kind ==
-                corelang::Outcome::Kind::ResourceExhausted;
-        if (!exhausted && warm)
-            warm->insert(warmKey, built);
-        if (built->terminal)
-            result->outcome = built->preludeOutcome;
-        else if (spec.traceDigest)
-            result->outcome = m.runMain();
-        else
-            result->outcome =
-                corelang::runWarm(compiled->prog, opts, *built);
-    } else {
-        result->warmHit = true;
-        if (spec.traceDigest)
-            opts.memConfig.traceSink = &ring;
-        result->outcome =
-            corelang::runWarm(compiled->prog, opts, *entry);
-    }
-    if (spec.traceDigest) {
-        result->digest = digestEvents(ring.snapshot(), ring.dropped());
-        result->hasDigest = true;
-    }
 }
 
 std::string

@@ -16,7 +16,9 @@
  * source to every request and keeps, per combined program, the
  * corelang::WarmEntry fork point in the WarmCache: the first request
  * for a program pays the prelude once ("warm build"), every repeat
- * runs only main() from the snapshot ("warm hit").
+ * runs only main() from the snapshot ("warm hit").  Entries record no
+ * events; a digest hit streams main()'s events into a digest sink
+ * resumed from the entry's digest prefix, so it costs main() alone.
  */
 #ifndef CHERISEM_SERVE_EXEC_H
 #define CHERISEM_SERVE_EXEC_H
@@ -89,8 +91,9 @@ ExecResult runRequest(const std::string &source,
  *  first run builds the fork point (corelang::buildWarm) and serves
  *  main() from the same machine; later runs fork it
  *  (corelang::runWarm).  Falls back to runCompiled() when the entry
- *  cannot reproduce a cold run bit-for-bit (step budget tighter than
- *  the prelude, digest requested but the recorded stream wrapped). */
+ *  cannot reproduce a cold run bit-for-bit: a step budget tighter
+ *  than the prelude, or a digest over a terminal entry or over a
+ *  stream longer than the digest ring. */
 void runCompiledWarm(const CompiledPtr &compiled,
                      const driver::Profile &profile,
                      const RunSpec &spec, const ExecLimits &limits,

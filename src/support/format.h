@@ -23,6 +23,12 @@ using int128 = __int128;
  *  Appendix A capability printing). */
 std::string hexStr(uint128 v);
 
+/** Append hexStr(@p v) to @p out. */
+void appendHex(std::string &out, uint128 v);
+
+/** Append decStr(@p v) to @p out. */
+void appendDec(std::string &out, uint128 v);
+
 /** Format @p v as a decimal string (supports the full 128-bit range). */
 std::string decStr(uint128 v);
 

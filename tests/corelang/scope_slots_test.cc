@@ -197,6 +197,31 @@ TEST(ScopeSlots, EnumConstants)
                5);
 }
 
+TEST(ScopeSlots, OneStaticObjectPerGlobal)
+{
+    // Every declaration of a global shares its slot and its one
+    // object, laid out at the defining declaration.
+    Outcome o = run("int x;\n"
+                    "int x = 3;\n"
+                    "int main(void) { return x; }\n")
+                    .outcome;
+    ASSERT_EQ(o.kind, Outcome::Kind::Exit) << o.message;
+    EXPECT_EQ(o.exitCode, 3);
+    EXPECT_EQ(o.memStats.allocations, 1u);
+
+    // The initialized declaration defines the object even when a
+    // tentative one follows it; a bare extern defines nothing.
+    o = run("extern int y;\n"
+            "int y = 5;\n"
+            "int y;\n"
+            "int *p = &y;\n"
+            "int main(void) { return *p + y; }\n")
+            .outcome;
+    ASSERT_EQ(o.kind, Outcome::Kind::Exit) << o.message;
+    EXPECT_EQ(o.exitCode, 10);
+    EXPECT_EQ(o.memStats.allocations, 2u);
+}
+
 TEST(ScopeSlots, FreeOrderAtBlockExit)
 {
     TracedRun r = run("int main(void) {\n"

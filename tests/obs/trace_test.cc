@@ -115,6 +115,134 @@ TEST(JsonlFileSink, OneParseableObjectPerLine)
         << "labels must be JSON-escaped: " << os.str();
 }
 
+// ---------------------------------------------------------------------
+// Event rendering and the witness digest.
+// ---------------------------------------------------------------------
+
+/** Every payload field set, so each kind's line shows every key the
+ *  renderer may write; odd kinds carry a label, line cycles 0..2. */
+TraceEvent
+fullEvent(EventKind k)
+{
+    uint64_t i = static_cast<uint64_t>(k);
+    TraceEvent e;
+    e.kind = k;
+    e.seq = 7 + i;
+    e.addr = 0x1000 + i;
+    e.size = 16;
+    e.a = i;
+    e.b = 2 * i;
+    e.line = static_cast<uint32_t>(i % 3);
+    e.label = i % 2 ? "name" : "";
+    return e;
+}
+
+/** renderEventJson() and appendEventJson() must give @p want, the
+ *  latter after whatever @p out already holds. */
+void
+expectRendered(const TraceEvent &e, const std::string &want)
+{
+    EXPECT_EQ(renderEventJson(e), want);
+    std::string out = "prefix|";
+    appendEventJson(out, e);
+    EXPECT_EQ(out, "prefix|" + want);
+}
+
+TEST(RenderEventJson, KnownAnswerForEveryKind)
+{
+    const char *want[] = {
+        R"({"seq":7,"kind":"alloc","addr":"0x1000","size":16})",
+        R"({"seq":8,"kind":"free","addr":"0x1001","size":16,"a":1,"b":2,"line":1,"label":"name"})",
+        R"({"seq":9,"kind":"realloc","addr":"0x1002","size":16,"a":2,"b":4,"line":2})",
+        R"({"seq":10,"kind":"load","addr":"0x1003","size":16,"a":3,"b":6,"label":"name"})",
+        R"({"seq":11,"kind":"store","addr":"0x1004","size":16,"a":4,"b":8,"line":1})",
+        R"({"seq":12,"kind":"tag-clear","addr":"0x1005","size":16,"a":5,"b":10,"line":2,"label":"name"})",
+        R"({"seq":13,"kind":"ghost-mark","addr":"0x1006","size":16,"a":6,"b":12})",
+        R"({"seq":14,"kind":"expose","addr":"0x1007","size":16,"a":7,"b":14,"line":1,"label":"name"})",
+        R"({"seq":15,"kind":"attach","addr":"0x1008","size":16,"a":8,"b":16,"line":2})",
+        R"({"seq":16,"kind":"quarantine","addr":"0x1009","size":16,"a":9,"b":18,"label":"name"})",
+        R"({"seq":17,"kind":"revoke-sweep","addr":"0x100a","size":16,"a":10,"b":20,"line":1})",
+        R"({"seq":18,"kind":"func-enter","addr":"0x100b","size":16,"a":11,"b":22,"line":2,"label":"name"})",
+        R"({"seq":19,"kind":"func-exit","addr":"0x100c","size":16,"a":12,"b":24})",
+        R"({"seq":20,"kind":"intrinsic","addr":"0x100d","size":16,"a":13,"b":26,"line":1,"label":"name"})",
+        R"({"seq":21,"kind":"ub-raise","addr":"0x100e","size":16,"a":14,"b":28,"line":2})",
+        R"({"seq":22,"kind":"phase","addr":"0x100f","size":16,"a":15,"b":30,"label":"name"})",
+    };
+    static_assert(std::size(want) ==
+                  static_cast<size_t>(EventKind::Phase) + 1);
+    for (size_t k = 0; k < std::size(want); ++k)
+        expectRendered(fullEvent(static_cast<EventKind>(k)), want[k]);
+}
+
+TEST(RenderEventJson, ZeroFieldsAreOmitted)
+{
+    expectRendered(TraceEvent{}, R"({"seq":0,"kind":"alloc"})");
+}
+
+TEST(RenderEventJson, ExtremeFieldsAndEscapedLabels)
+{
+    TraceEvent e;
+    e.kind = EventKind::Store;
+    e.seq = e.addr = e.size = e.a = e.b = UINT64_MAX;
+    e.line = UINT32_MAX;
+    // Quote, backslash, the named escapes, two other control bytes,
+    // and bytes >= 0x20 (UTF-8 included), which pass through.
+    e.label = "q\"b\\s\n\r\t\x01\x1f~\xc3\xa9";
+    expectRendered(
+        e, "{\"seq\":18446744073709551615,\"kind\":\"store\","
+           "\"addr\":\"0xffffffffffffffff\",\"size\":18446744073709551615,"
+           "\"a\":18446744073709551615,\"b\":18446744073709551615,"
+           "\"line\":4294967295,"
+           "\"label\":\"q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f~\xc3\xa9\"}");
+    EXPECT_EQ(jsonEscape(e.label),
+              "q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f~\xc3\xa9");
+}
+
+TEST(DigestSink, FoldsRenderedLinesThenTheDropCount)
+{
+    std::vector<TraceEvent> events;
+    for (EventKind k : {EventKind::Alloc, EventKind::Store,
+                        EventKind::UbRaise})
+        events.push_back(fullEvent(k));
+
+    DigestSink sink;
+    Tracer t(&sink);
+    uint64_t want = kFnv1aBasis;
+    for (size_t i = 0; i < events.size(); ++i) {
+        t.emit(events[i]);
+        TraceEvent stamped = events[i];
+        stamped.seq = i; // the sink numbers events itself
+        std::string line = renderEventJson(stamped) + "\n";
+        want = fnv1a(line.data(), line.size(), want);
+    }
+    EXPECT_EQ(sink.emitted(), events.size());
+    EXPECT_EQ(sink.state(), want);
+    uint64_t dropped = 0;
+    EXPECT_EQ(DigestSink::finish(sink.state(), 0),
+              fnv1a(&dropped, sizeof dropped, want));
+}
+
+TEST(DigestSink, ResumedSinkContinuesTheStream)
+{
+    // A head hashed by one sink and a tail by a sink resumed from its
+    // count and state give the digest of one sink over both.
+    DigestSink whole;
+    DigestSink head;
+    for (int i = 0; i < 5; ++i) {
+        whole.emit(fullEvent(EventKind::Load));
+        head.emit(fullEvent(EventKind::Load));
+    }
+    DigestSink tail(head.emitted(), head.state());
+    EXPECT_TRUE(tail.resumed());
+    EXPECT_FALSE(whole.resumed());
+    for (int i = 0; i < 3; ++i) {
+        whole.emit(fullEvent(EventKind::Store));
+        tail.emit(fullEvent(EventKind::Store));
+    }
+    EXPECT_EQ(tail.emitted(), whole.emitted());
+    EXPECT_EQ(tail.state(), whole.state());
+}
+
 TEST(ChromeTraceSink, EmitsDurationPairsAndInstants)
 {
     std::ostringstream os;

@@ -13,7 +13,11 @@
  * (each request sent twice, so both the warm build and the warm hit
  * are compared), a prelude that itself raises UB (terminal entry,
  * also under a budget it exhausts first), and a step budget below
- * the prelude's own steps (cold fallback).
+ * the prelude's own steps (cold fallback).  The digest path: streams
+ * longer than the digest ring (past it in main(), or already in the
+ * prelude) give the cold, wrapped digest, and concurrent first
+ * digests on an entry built without one share one computed digest
+ * prefix.
  * Both servers run two workers, so the ThreadSanitizer job sees the
  * shared caches under concurrency.
  */
@@ -21,20 +25,26 @@
 
 #include <future>
 #include <memory>
+#include <mutex>
 #include <vector>
 
+#include "driver/interpreter.h"
+#include "driver/profiles.h"
 #include "driver/suite.h"
+#include "obs/sinks.h"
 #include "serve/cache.h"
 #include "serve/server.h"
 
 namespace cherisem::serve {
 namespace {
 
-corelang::WarmPtr
+std::shared_ptr<WarmServeEntry>
 entryWithSteps(uint64_t steps)
 {
-    auto e = std::make_shared<corelang::WarmEntry>();
-    e->preludeOutcome.steps = steps;
+    auto w = std::make_shared<corelang::WarmEntry>();
+    w->preludeOutcome.steps = steps;
+    auto e = std::make_shared<WarmServeEntry>();
+    e->warm = w;
     return e;
 }
 
@@ -44,9 +54,9 @@ TEST(WarmCache, LookupMissThenHit)
     EXPECT_EQ(cache.lookup(1), nullptr);
 
     cache.insert(1, entryWithSteps(10));
-    corelang::WarmPtr got = cache.lookup(1);
+    std::shared_ptr<WarmServeEntry> got = cache.lookup(1);
     ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->preludeOutcome.steps, 10u);
+    EXPECT_EQ(got->warm->preludeOutcome.steps, 10u);
 
     WarmCache::Stats s = cache.stats();
     EXPECT_EQ(s.hits, 1u);
@@ -60,12 +70,12 @@ TEST(WarmCache, FirstInsertWins)
 {
     // Two requests for the same program can race to build the warm
     // entry; determinism makes them identical, and the cache keeps
-    // the first so existing WarmPtrs stay canonical.
+    // the first so existing entries stay canonical.
     WarmCache cache(4);
     cache.insert(7, entryWithSteps(1));
     cache.insert(7, entryWithSteps(2));
     ASSERT_NE(cache.lookup(7), nullptr);
-    EXPECT_EQ(cache.lookup(7)->preludeOutcome.steps, 1u);
+    EXPECT_EQ(cache.lookup(7)->warm->preludeOutcome.steps, 1u);
     EXPECT_EQ(cache.stats().size, 1u);
 }
 
@@ -131,32 +141,15 @@ runAll(Server &server, const std::vector<Request> &reqs)
     return out;
 }
 
-/** Run @p reqs on a warm server over @p prelude and, with the
- *  prelude joined to each source as the warm path joins it, on a
- *  cold one; every response pair must agree on everything but
- *  timings and the cache flags.  Returns the warm responses. */
-std::vector<Response>
-expectWarmMatchesCold(const std::string &prelude,
-                      const std::vector<Request> &reqs,
-                      size_t cacheCapacity = 1024)
+/** Responses @p w and @p c to @p reqs agree on everything but
+ *  timings and the cache flags. */
+void
+expectSameAnswers(const std::vector<Request> &reqs,
+                  const std::vector<Response> &w,
+                  const std::vector<Response> &c)
 {
-    ServerOptions wopts;
-    wopts.threads = 2;
-    wopts.warmPrelude = prelude;
-    // Room for every (program, profile) pair, so repeats hit.
-    wopts.warmCapacity = 1024;
-    wopts.cacheCapacity = cacheCapacity;
-    Server warm(wopts);
-
-    ServerOptions copts;
-    copts.threads = 2;
-    Server cold(copts);
-    std::vector<Request> coldReqs = reqs;
-    for (Request &r : coldReqs)
-        r.source = joinWarmSource(prelude, r.source);
-
-    std::vector<Response> w = runAll(warm, reqs);
-    std::vector<Response> c = runAll(cold, coldReqs);
+    ASSERT_EQ(w.size(), reqs.size());
+    ASSERT_EQ(c.size(), reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
         const std::string &id = reqs[i].id;
         EXPECT_EQ(w[i].verdict, c[i].verdict) << id;
@@ -169,6 +162,73 @@ expectWarmMatchesCold(const std::string &prelude,
         EXPECT_EQ(w[i].output, c[i].output) << id;
         EXPECT_EQ(w[i].traceDigest, c[i].traceDigest) << id;
     }
+}
+
+/** Two workers and no wall-clock deadline: a deadline would cut a
+ *  slow (sanitized) run at a different point on each side. */
+ServerOptions
+testOptions()
+{
+    ServerOptions opts;
+    opts.threads = 2;
+    opts.deadlineMs = 0;
+    return opts;
+}
+
+/** A warm server's options over @p prelude, with room for every
+ *  (program, profile) pair, so repeats hit. */
+ServerOptions
+warmOptions(const std::string &prelude)
+{
+    ServerOptions opts = testOptions();
+    opts.warmPrelude = prelude;
+    opts.warmCapacity = 1024;
+    return opts;
+}
+
+/** @p reqs answered by a cold server handed each source joined to
+ *  @p prelude as the warm path joins it. */
+std::vector<Response>
+runCold(const std::string &prelude, std::vector<Request> reqs)
+{
+    Server cold(testOptions());
+    for (Request &r : reqs)
+        r.source = joinWarmSource(prelude, r.source);
+    return runAll(cold, reqs);
+}
+
+/** Run @p reqs on a warm server over @p prelude and on a cold one;
+ *  every response pair must agree (expectSameAnswers).  Returns the
+ *  warm responses. */
+std::vector<Response>
+expectWarmMatchesCold(const std::string &prelude,
+                      const std::vector<Request> &reqs,
+                      size_t cacheCapacity = 1024)
+{
+    ServerOptions wopts = warmOptions(prelude);
+    wopts.cacheCapacity = cacheCapacity;
+    Server warm(wopts);
+    std::vector<Response> w = runAll(warm, reqs);
+    expectSameAnswers(reqs, w, runCold(prelude, reqs));
+    return w;
+}
+
+/** expectWarmMatchesCold over @p stages of requests, each drained
+ *  before the next starts, so later stages hit the entries that
+ *  earlier ones built.  Returns the warm responses in order. */
+std::vector<Response>
+expectStagesMatchCold(const std::string &prelude,
+                      const std::vector<std::vector<Request>> &stages)
+{
+    Server warm(warmOptions(prelude));
+    std::vector<Request> all;
+    std::vector<Response> w;
+    for (const std::vector<Request> &stage : stages) {
+        std::vector<Response> got = runAll(warm, stage);
+        all.insert(all.end(), stage.begin(), stage.end());
+        w.insert(w.end(), got.begin(), got.end());
+    }
+    expectSameAnswers(all, w, runCold(prelude, all));
     return w;
 }
 
@@ -323,6 +383,133 @@ TEST(WarmServing, StepBudgetBelowPreludeFallsBackCold)
     EXPECT_EQ(w[0].verdict, "exit");
     EXPECT_EQ(w[2].verdict, "resource-exhausted");
     EXPECT_FALSE(w[2].warm);
+}
+
+/** Events a cold run of @p prelude + @p source under @p profile
+ *  emits up to the fork point and in all. */
+struct StreamLength
+{
+    uint64_t prelude = 0;
+    uint64_t total = 0;
+};
+
+StreamLength
+streamLength(const std::string &prelude, const std::string &source,
+             const char *profile)
+{
+    const driver::Profile *p = driver::findProfile(profile);
+    EXPECT_NE(p, nullptr);
+    auto compiled = driver::compile(joinWarmSource(prelude, source), *p,
+                                    "<warm>", obs::Tracer());
+    EXPECT_TRUE(compiled.ok());
+    obs::DigestSink sink;
+    corelang::EvalOptions opts = p->evalOptions();
+    opts.memConfig.traceSink = &sink;
+    corelang::Machine m(compiled.value()->prog, opts);
+    StreamLength len;
+    EXPECT_FALSE(m.runPrelude().has_value());
+    len.prelude = sink.emitted();
+    m.runMain();
+    len.total = sink.emitted();
+    return len;
+}
+
+/** The digest ring's capacity (serve/exec.cc): a longer stream's
+ *  digest covers only the retained suffix and the dropped count. */
+constexpr uint64_t kRing = 1 << 17;
+
+/** 19,000 malloc/free pairs: 7 events each, 133,000 in all, just
+ *  past the ring (the event-densest loop per step; the TSan job runs
+ *  these tests). */
+const char *kChurn = "    for (int i = 0; i < 19000; i++)\n"
+                     "        free(malloc(4));\n";
+
+TEST(WarmServing, DigestPastTheRingMatchesCold)
+{
+    // The prelude fits the ring; main() pushes the stream past it.
+    std::string main = std::string("#include <stdlib.h>\n"
+                                   "int main(void) {\n") +
+        kChurn + "    return __warm_table[3];\n}\n";
+    for (const char *profile : {"cerberus", "gcc-morello-O0"}) {
+        StreamLength len = streamLength(kPrelude, main, profile);
+        EXPECT_LT(len.prelude, kRing) << profile;
+        EXPECT_GT(len.total, kRing) << profile;
+    }
+    // A build without a digest, then a digest on its entry; and a
+    // build that is itself the digest run.  Neither digest can be
+    // served warm: both fall back to the cold ring path.
+    Request plain = runRequestFor("plain", main, "cerberus");
+    plain.traceDigest = false;
+    std::vector<Response> w = expectStagesMatchCold(
+        kPrelude, {{plain},
+                   {runRequestFor("digest-hit", main, "cerberus"),
+                    runRequestFor("digest-build", main,
+                                  "gcc-morello-O0")}});
+    for (const Response &r : w) {
+        EXPECT_EQ(r.verdict, "exit") << r.id;
+        EXPECT_FALSE(r.warm) << r.id;
+    }
+}
+
+TEST(WarmServing, PreludePastTheRingMatchesCold)
+{
+    std::string prelude = std::string("#include <stdlib.h>\n"
+                                      "void __prelude(void) {\n") +
+        kChurn + "}\n";
+    const char *main = "int main(void) { return 7; }\n";
+    EXPECT_GT(streamLength(prelude, main, "cerberus").prelude, kRing);
+    Request plain = runRequestFor("plain", main, "cerberus");
+    plain.traceDigest = false;
+    Request again = plain;
+    again.id = "plain-hit";
+    std::vector<Response> w = expectStagesMatchCold(
+        prelude,
+        {{plain}, {again, runRequestFor("digest", main, "cerberus")}});
+    for (const Response &r : w)
+        EXPECT_EQ(r.verdict, "exit") << r.id;
+    EXPECT_TRUE(w[1].warm) << "a hit without a digest stays warm";
+    EXPECT_FALSE(w[2].warm) << "the digest falls back cold";
+}
+
+TEST(WarmServing, ConcurrentFirstDigestsOnAnUntracedEntry)
+{
+    // The entry is built by a request without a digest, so it has no
+    // digest prefix; then many digest requests race to need it.  One
+    // computes it, the others wait for it, and every digest matches
+    // a cold run.
+    const char *main = "int main(void) {\n"
+                       "    return __warm_table[7] + __warm_heap[2];\n"
+                       "}\n";
+    Server warm(warmOptions(kPrelude));
+    Request build = runRequestFor("build", main, "cerberus");
+    build.traceDigest = false;
+    ASSERT_EQ(runAll(warm, {build})[0].verdict, "exit");
+
+    uint64_t key = FrontCache::key(joinWarmSource(kPrelude, main),
+                                   "cerberus");
+    std::shared_ptr<WarmServeEntry> entry = warm.warmCache().lookup(key);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_FALSE(entry->warm->preludeEvents.has_value())
+        << "serve's warm entries record no events";
+    {
+        std::lock_guard<std::mutex> lock(entry->mu);
+        EXPECT_FALSE(entry->prefix.has_value());
+    }
+
+    std::vector<Request> reqs;
+    for (int i = 0; i < 16; ++i)
+        reqs.push_back(runRequestFor("digest-" + std::to_string(i), main,
+                                     "cerberus"));
+    std::vector<Response> w = runAll(warm, reqs);
+    expectSameAnswers(reqs, w, runCold(kPrelude, reqs));
+    for (const Response &r : w) {
+        EXPECT_TRUE(r.warm) << r.id;
+        EXPECT_FALSE(r.traceDigest.empty()) << r.id;
+    }
+    std::lock_guard<std::mutex> lock(entry->mu);
+    ASSERT_TRUE(entry->prefix.has_value());
+    EXPECT_EQ(entry->prefix->events,
+              streamLength(kPrelude, main, "cerberus").prelude);
 }
 
 } // namespace
