@@ -12,6 +12,7 @@
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
+#include <string_view>
 
 #include "obs/sinks.h"
 #include "support/format.h"
@@ -73,49 +74,89 @@ Machine::nextCheckAt() const
     return std::min(limit, steps_ + kWatchdogPollSteps);
 }
 
-void
+bool
 Machine::pollWatchdog(const SourceLoc &loc)
 {
     if (opts_.cancel &&
         opts_.cancel->load(std::memory_order_relaxed)) {
-        raise(mem::Failure::resourceExhausted("cancelled", loc));
+        fail(mem::Failure::resourceExhausted("cancelled", loc));
+        return false;
     }
     if (opts_.deadline.time_since_epoch().count() != 0 &&
         std::chrono::steady_clock::now() >= opts_.deadline) {
-        raise(mem::Failure::resourceExhausted(
+        fail(mem::Failure::resourceExhausted(
             "wall-clock deadline exceeded", loc));
+        return false;
     }
+    return true;
 }
 
-void
+bool
 Machine::stepSlow(const SourceLoc &loc)
 {
     if (steps_ > opts_.maxSteps) {
-        raise(mem::Failure::resourceExhausted(
+        fail(mem::Failure::resourceExhausted(
             "step limit exceeded (non-terminating program?)", loc));
+        return false;
     }
-    pollWatchdog(loc);
+    if (!pollWatchdog(loc))
+        return false;
     checkAt_ = nextCheckAt();
+    return true;
+}
+
+// The raise paths are cold: kept out of line, they leave the
+// evaluator's hot frames one predictable branch per check.
+
+[[gnu::cold, gnu::noinline]] void
+Machine::halt(Verdict v)
+{
+    assert(!halted() && "a second verdict after the first");
+    verdict_ = std::move(v);
+}
+
+[[gnu::cold, gnu::noinline]] void
+Machine::fail(Failure f)
+{
+    halt(std::move(f));
+}
+
+[[gnu::cold, gnu::noinline]] void
+Machine::failUb(Ub ub, const SourceLoc &loc, std::string msg)
+{
+    halt(Failure::undefined(ub, loc, std::move(msg)));
 }
 
 void
-Machine::failureOutcome(Outcome &out, const EvalFailure &f)
+Machine::verdictOutcome(Outcome &out)
 {
-    out.kind = f.failure.isUb() ? Outcome::Kind::Undefined
-        : f.failure.kind == mem::Failure::Kind::ResourceExhausted
+    Verdict v = std::exchange(verdict_, std::monostate{});
+    if (const auto *e = std::get_if<Exited>(&v)) {
+        out.kind = Outcome::Kind::Exit;
+        out.exitCode = e->code;
+        return;
+    }
+    if (auto *a = std::get_if<Aborted>(&v)) {
+        out.kind = Outcome::Kind::AssertFail;
+        out.message = std::move(a->message);
+        return;
+    }
+    Failure &f = std::get<Failure>(v);
+    out.kind = f.isUb() ? Outcome::Kind::Undefined
+        : f.kind == Failure::Kind::ResourceExhausted
         ? Outcome::Kind::ResourceExhausted
         : Outcome::Kind::Error;
-    out.failure = f.failure;
-    out.message = f.failure.str();
+    out.message = f.str();
     // Witness the UB verdict with its source location; this
     // is the stream's terminal event for undefined runs.
-    if (f.failure.isUb() && mm_.tracer().enabled()) {
+    if (f.isUb() && mm_.tracer().enabled()) {
         mm_.tracer().emit(
             {.kind = obs::EventKind::UbRaise,
-             .a = static_cast<uint64_t>(f.failure.ub),
-             .line = f.failure.loc.line,
-             .label = mem::ubName(f.failure.ub)});
+             .a = static_cast<uint64_t>(f.ub),
+             .line = f.loc.line,
+             .label = mem::ubName(f.ub)});
     }
+    out.failure = std::move(f);
 }
 
 void
@@ -145,24 +186,17 @@ Machine::run()
 std::optional<Outcome>
 Machine::runPrelude()
 {
-    Outcome out;
-    try {
-        initGlobals();
+    if (initGlobals()) {
         auto it = prog_.functionIndex.find(kPreludeFunction);
         if (it != prog_.functionIndex.end() &&
             prog_.unit.functions[it->second].body) {
             callFunction(it->second, {});
         }
-        return std::nullopt;
-    } catch (const EvalFailure &f) {
-        failureOutcome(out, f);
-    } catch (const ExitException &e) {
-        out.kind = Outcome::Kind::Exit;
-        out.exitCode = e.code;
-    } catch (const AssertFailure &a) {
-        out.kind = Outcome::Kind::AssertFail;
-        out.message = a.message;
+        if (!halted())
+            return std::nullopt;
     }
+    Outcome out;
+    verdictOutcome(out);
     finalizeOutcome(out);
     return out;
 }
@@ -171,28 +205,21 @@ Outcome
 Machine::runMain()
 {
     Outcome out;
-    try {
-        auto it = prog_.functionIndex.find("main");
-        if (it == prog_.functionIndex.end() ||
-            !prog_.unit.functions[it->second].body) {
-            out.kind = Outcome::Kind::Error;
-            out.message = "no main function";
+    auto it = prog_.functionIndex.find("main");
+    if (it == prog_.functionIndex.end() ||
+        !prog_.unit.functions[it->second].body) {
+        out.kind = Outcome::Kind::Error;
+        out.message = "no main function";
+    } else {
+        MemValue r = callFunction(it->second, {});
+        if (halted()) {
+            verdictOutcome(out);
         } else {
-            MemValue r = callFunction(it->second, {});
             out.kind = Outcome::Kind::Exit;
             out.exitCode = r.isInteger()
-                               ? static_cast<int>(
-                                     r.asInteger().value())
+                               ? static_cast<int>(r.asInteger().value())
                                : 0;
         }
-    } catch (const EvalFailure &f) {
-        failureOutcome(out, f);
-    } catch (const ExitException &e) {
-        out.kind = Outcome::Kind::Exit;
-        out.exitCode = e.code;
-    } catch (const AssertFailure &a) {
-        out.kind = Outcome::Kind::AssertFail;
-        out.message = a.message;
     }
     finalizeOutcome(out);
     return out;
@@ -238,6 +265,7 @@ Machine::restoreSnapshot(const SnapshotPtr &snap)
     locals_.clear();
     scopeMarks_.clear();
     callDepth_ = 0;
+    verdict_ = std::monostate{};
     // steps_ moved: recompute the step/watchdog poll boundary.
     checkAt_ = nextCheckAt();
 }
@@ -310,20 +338,15 @@ Machine::pokeGlobalInt(const std::string &name, int64_t value)
     if (!b.bound() || !globalDef(b).type->isInteger())
         return false;
     const TypeRef &ty = globalDef(b).type;
-    try {
-        SourceLoc loc{};
-        unwrap(mm_.store(
-            loc, ty, writablePlace(b.place),
-            MemValue(makeInt(loc, ty->intKind, value))));
-    } catch (const EvalFailure &) {
-        return false;
-    }
-    return true;
+    SourceLoc loc{};
+    return mm_.store(loc, ty, writablePlace(b.place),
+                     MemValue(makeInt(loc, ty->intKind, value)))
+        .ok();
 }
 
 // ---- globals ----
 
-void
+bool
 Machine::initGlobals()
 {
     const std::vector<frontend::VarDecl> &defs = prog_.unit.globals;
@@ -346,24 +369,31 @@ Machine::initGlobals()
     // global; static storage is zero-initialized first.
     for (uint32_t i = 0; i < defs.size(); ++i) {
         const frontend::VarDecl &g = defs[i];
-        if (defining(i))
-            globals_[g.slot].place = unwrap(mm_.allocateObject(
-                g.name, g.type, g.type->isConst, /*is_static=*/true));
+        if (!defining(i))
+            continue;
+        PointerValue place = take(mm_.allocateObject(
+            g.name, g.type, g.type->isConst, /*is_static=*/true));
+        if (halted())
+            return false;
+        globals_[g.slot].place = std::move(place);
     }
     for (uint32_t i = 0; i < defs.size(); ++i) {
-        if (defining(i))
-            storeZero(defs[i].loc, globals_[defs[i].slot].place,
-                      defs[i].type);
+        if (defining(i) &&
+            !storeZero(defs[i].loc, globals_[defs[i].slot].place,
+                       defs[i].type))
+            return false;
     }
     for (uint32_t i = 0; i < defs.size(); ++i) {
         const frontend::VarDecl &g = defs[i];
-        if (defining(i) && g.hasInit)
-            storeInitializer(g.loc, globals_[g.slot].place, g.type,
-                             g.init);
+        if (defining(i) && g.hasInit &&
+            !storeInitializer(g.loc, globals_[g.slot].place, g.type,
+                              g.init))
+            return false;
     }
+    return true;
 }
 
-void
+bool
 Machine::storeZero(const SourceLoc &loc, const PointerValue &place,
                    const TypeRef &ty)
 {
@@ -371,8 +401,8 @@ Machine::storeZero(const SourceLoc &loc, const PointerValue &place,
     // footprint (null caps for pointer members fall out of the
     // all-zero representation plus absent tags).
     uint64_t n = mm_.layout().sizeOf(ty);
-    unwrap(mm_.memsetOp(loc, writablePlace(place), 0, n,
-                    /*initializing=*/true));
+    return check(mm_.memsetOp(loc, writablePlace(place), 0, n,
+                              /*initializing=*/true));
 }
 
 PointerValue
@@ -391,7 +421,7 @@ Machine::writablePlace(const PointerValue &p) const
     return q;
 }
 
-void
+bool
 Machine::storeInitializer(const SourceLoc &loc, const PointerValue &place,
                           const TypeRef &ty,
                           const frontend::Initializer &init)
@@ -401,19 +431,18 @@ Machine::storeInitializer(const SourceLoc &loc, const PointerValue &place,
         // char a[N] = "literal";
         if (ty->isArray() && init.expr->kind == Expr::Kind::Cast &&
             init.expr->lhs->kind == Expr::Kind::StringLit) {
-            storeStringInto(loc, wplace, ty,
-                            init.expr->lhs->text);
-            return;
+            return storeStringInto(loc, wplace, ty,
+                                   init.expr->lhs->text);
         }
         if (ty->isArray() &&
             init.expr->kind == Expr::Kind::StringLit) {
-            storeStringInto(loc, wplace, ty, init.expr->text);
-            return;
+            return storeStringInto(loc, wplace, ty, init.expr->text);
         }
         MemValue v = evalExpr(*init.expr);
-        unwrap(mm_.store(loc, ty, wplace, v,
-                         /*initializing=*/true));
-        return;
+        if (halted())
+            return false;
+        return check(mm_.store(loc, ty, wplace, v,
+                               /*initializing=*/true));
     }
     if (ty->isArray()) {
         uint64_t esize = mm_.layout().sizeOf(ty->element);
@@ -421,14 +450,13 @@ Machine::storeInitializer(const SourceLoc &loc, const PointerValue &place,
             PointerValue ep = wplace;
             ep.cap = wplace.cap->withAddress(wplace.address() +
                                              i * esize);
-            if (i < init.list.size()) {
-                storeInitializer(loc, ep, ty->element,
-                                 init.list[i]);
-            } else {
-                storeZero(loc, ep, ty->element);
-            }
+            bool stored = i < init.list.size()
+                ? storeInitializer(loc, ep, ty->element, init.list[i])
+                : storeZero(loc, ep, ty->element);
+            if (!stored)
+                return false;
         }
-        return;
+        return true;
     }
     if (ty->isStructOrUnion()) {
         const ctype::TagDef &def = prog_.unit.tags.get(ty->tag);
@@ -441,20 +469,21 @@ Machine::storeInitializer(const SourceLoc &loc, const PointerValue &place,
             PointerValue mp = wplace;
             mp.cap = wplace.cap->withAddress(wplace.address() +
                                              fl.offset);
-            if (i < init.list.size()) {
-                storeInitializer(loc, mp, *fl.type, init.list[i]);
-            } else {
-                storeZero(loc, mp, *fl.type);
-            }
+            bool stored = i < init.list.size()
+                ? storeInitializer(loc, mp, *fl.type, init.list[i])
+                : storeZero(loc, mp, *fl.type);
+            if (!stored)
+                return false;
         }
-        return;
+        return true;
     }
     // Scalar with braces.
     if (!init.list.empty())
-        storeInitializer(loc, wplace, ty, init.list[0]);
+        return storeInitializer(loc, wplace, ty, init.list[0]);
+    return true;
 }
 
-void
+bool
 Machine::storeStringInto(const SourceLoc &loc, const PointerValue &place,
                          const TypeRef &ty, const std::string &s)
 {
@@ -463,11 +492,13 @@ Machine::storeStringInto(const SourceLoc &loc, const PointerValue &place,
         uint8_t byte = i < s.size() ? s[i] : 0;
         PointerValue bp = place;
         bp.cap = place.cap->withAddress(place.address() + i);
-        unwrap(mm_.store(loc, intType(IntKind::Char), bp,
-                         MemValue(IntegerValue::ofNum(
-                             IntKind::Char, byte)),
-                         /*initializing=*/true));
+        if (!check(mm_.store(loc, intType(IntKind::Char), bp,
+                             MemValue(IntegerValue::ofNum(
+                                 IntKind::Char, byte)),
+                             /*initializing=*/true)))
+            return false;
     }
+    return true;
 }
 
 PointerValue
@@ -475,10 +506,12 @@ Machine::stringLiteralPlace(const Expr &e)
 {
     if (stringLits_[e.slot].cap)
         return stringLits_[e.slot];
-    PointerValue place = unwrap(mm_.allocateObject(
+    PointerValue place = take(mm_.allocateObject(
         "\"" + e.text.substr(0, 8) + "\"", e.type, /*read_only=*/true,
         /*is_static=*/true));
-    storeStringInto(e.loc, writablePlace(place), e.type, e.text);
+    if (halted() ||
+        !storeStringInto(e.loc, writablePlace(place), e.type, e.text))
+        return {};
     stringLits_[e.slot] = place;
     return place;
 }
@@ -496,8 +529,10 @@ Machine::fitInt(const SourceLoc &loc, IntKind k, __int128 v,
         __int128 lo = mm_.layout().intMin(k);
         __int128 hi = mm_.layout().intMax(k);
         if (v < lo || v > hi) {
-            if (check_overflow)
-                raiseUb(Ub::SignedOverflow, loc);
+            if (check_overflow) {
+                failUb(Ub::SignedOverflow, loc);
+                return 0;
+            }
             // Implementation-defined conversion: wrap.
             cherisem::uint128 m =
                 static_cast<cherisem::uint128>(v) &
@@ -529,8 +564,10 @@ Machine::fitNarrow(const SourceLoc &loc, IntKind k, int64_t v,
         int64_t r = static_cast<int64_t>(static_cast<uint64_t>(v)
                                          << shift) >>
             shift;
-        if (r != v && check_overflow)
-            raiseUb(Ub::SignedOverflow, loc);
+        if (r != v && check_overflow) {
+            failUb(Ub::SignedOverflow, loc);
+            return 0;
+        }
         return r;
     }
     return static_cast<int64_t>((static_cast<uint64_t>(v) << shift) >>
@@ -559,20 +596,29 @@ Machine::truthy(const SourceLoc &loc, const MemValue &v)
     if (v.isFloating())
         return v.asFloating().value != 0;
     if (v.isUnspec())
-        raiseUb(Ub::UseOfIndeterminateValue, loc);
-    raise(Failure::constraint("non-scalar condition", loc));
+        failUb(Ub::UseOfIndeterminateValue, loc);
+    else
+        fail(Failure::constraint("non-scalar condition", loc));
+    return false;
+}
+
+bool
+Machine::test(const Expr &c, const SourceLoc &loc)
+{
+    MemValue v = evalExpr(c);
+    return !halted() && truthy(loc, v);
 }
 
 // ---- environment ----
 
 void
-Machine::unbound(const Expr &e) const
+Machine::unbound(const Expr &e)
 {
-    raise(Failure::internal("unbound identifier " + e.text, e.loc));
+    fail(Failure::internal("unbound identifier " + e.text, e.loc));
 }
 
-const PointerValue &
-Machine::namedPlace(const Expr &e) const
+const PointerValue *
+Machine::namedPlace(const Expr &e)
 {
     const PointerValue *p = nullptr;
     if (e.nameKind == frontend::NameKind::Local)
@@ -581,9 +627,11 @@ Machine::namedPlace(const Expr &e) const
         p = &globals_[e.slot].place;
     // An unbound slot: a global with no definition, or a local whose
     // declaration a switch jumped over.
-    if (!p || !p->cap)
+    if (__builtin_expect(!p || !p->cap, 0)) {
         unbound(e);
-    return *p;
+        return nullptr;
+    }
+    return p;
 }
 
 void
@@ -594,22 +642,25 @@ Machine::bindLocal(uint32_t slot, const PointerValue &place, bool owned)
     locals_.push_back(Local{place, at, owned});
 }
 
-void
+bool
 Machine::popScope(const SourceLoc &loc)
 {
     size_t mark = scopeMarks_.back();
     for (size_t i = locals_.size(); i-- > mark;) {
-        if (locals_[i].owned)
-            unwrap(mm_.kill(loc, false, locals_[i].place));
+        if (locals_[i].owned &&
+            !check(mm_.kill(loc, false, locals_[i].place)))
+            return false;
     }
-    // An unwinding caller may pop a scope of a callee whose frame is
-    // already gone; only slots still on the stack are unbound.
+    // A caller on the terminal path may pop a scope of a callee whose
+    // frame is already gone; only slots still on the stack are
+    // unbound.
     for (size_t i = mark; i < locals_.size(); ++i) {
         if (locals_[i].slot < frame_.size())
             frame_[locals_[i].slot] = PointerValue();
     }
     locals_.resize(mark);
     scopeMarks_.pop_back();
+    return true;
 }
 
 // ---- lvalues ----
@@ -617,15 +668,20 @@ Machine::popScope(const SourceLoc &loc)
 PointerValue
 Machine::evalLValue(const Expr &e)
 {
-    step(e.loc);
+    if (!step(e.loc))
+        return {};
     switch (e.kind) {
-      case Expr::Kind::Ident:
-        return namedPlace(e);
+      case Expr::Kind::Ident: {
+        const PointerValue *p = namedPlace(e);
+        return p ? *p : PointerValue();
+      }
       case Expr::Kind::StringLit:
         return stringLiteralPlace(e);
       case Expr::Kind::Unary:
         if (e.unop == UnOp::Deref) {
             MemValue p = evalExpr(*e.lhs);
+            if (halted())
+                return {};
             return pointerOf(e.loc, p);
         }
         break;
@@ -635,24 +691,39 @@ Machine::evalLValue(const Expr &e)
         const Expr &ie =
             e.lhs->type->isPointer() ? *e.rhs : *e.lhs;
         MemValue pv = evalExpr(pe);
+        if (halted())
+            return {};
         MemValue iv = evalExpr(ie);
+        if (halted())
+            return {};
         PointerValue p = pointerOf(e.loc, pv);
+        if (halted())
+            return {};
         __int128 idx = iv.asInteger().value();
-        return unwrap(mm_.arrayShift(e.loc, p, e.type, idx));
+        return take(mm_.arrayShift(e.loc, p, e.type, idx));
       }
       case Expr::Kind::Member: {
-        PointerValue base =
-            e.isArrow ? pointerOf(e.loc, evalExpr(*e.lhs))
-                      : evalLValue(*e.lhs);
+        PointerValue base;
+        if (e.isArrow) {
+            MemValue v = evalExpr(*e.lhs);
+            if (halted())
+                return {};
+            base = pointerOf(e.loc, v);
+        } else {
+            base = evalLValue(*e.lhs);
+        }
+        if (halted())
+            return {};
         ctype::TagId tag = e.isArrow
                                ? e.lhs->type->pointee->tag
                                : e.lhs->type->tag;
-        return unwrap(mm_.memberShift(e.loc, base, tag, e.text));
+        return take(mm_.memberShift(e.loc, base, tag, e.text));
       }
       default:
         break;
     }
-    raise(Failure::internal("expression is not an lvalue", e.loc));
+    fail(Failure::internal("expression is not an lvalue", e.loc));
+    return {};
 }
 
 PointerValue
@@ -661,8 +732,10 @@ Machine::pointerOf(const SourceLoc &loc, const MemValue &v)
     if (v.isPointer())
         return v.asPointer();
     if (v.isUnspec())
-        raiseUb(Ub::UseOfIndeterminateValue, loc);
-    raise(Failure::internal("pointer value expected", loc));
+        failUb(Ub::UseOfIndeterminateValue, loc);
+    else
+        fail(Failure::internal("pointer value expected", loc));
+    return {};
 }
 
 // ---- expressions ----
@@ -670,7 +743,8 @@ Machine::pointerOf(const SourceLoc &loc, const MemValue &v)
 MemValue
 Machine::evalExpr(const Expr &e)
 {
-    step(e.loc);
+    if (!step(e.loc))
+        return {};
     switch (e.kind) {
       case Expr::Kind::IntLit:
         return MemValue(makeInt(e.loc, e.type->intKind,
@@ -681,20 +755,29 @@ Machine::evalExpr(const Expr &e)
         fv.value = e.floatValue;
         return MemValue(fv);
       }
-      case Expr::Kind::StringLit:
+      case Expr::Kind::StringLit: {
         // Only reachable for whole-array loads; normally wrapped
         // in a decay cast.
-        return unwrap(mm_.load(e.loc, e.type,
-                               stringLiteralPlace(e)));
+        PointerValue place = stringLiteralPlace(e);
+        if (halted())
+            return {};
+        return take(mm_.load(e.loc, e.type, place));
+      }
       case Expr::Kind::Ident:
         switch (e.nameKind) {
-          case frontend::NameKind::Local:
-            return unwrap(mm_.load(e.loc, e.type, namedPlace(e)));
+          case frontend::NameKind::Local: {
+            const PointerValue *place = namedPlace(e);
+            if (!place)
+                return {};
+            return take(mm_.load(e.loc, e.type, *place));
+          }
           case frontend::NameKind::Global: {
             const GlobalBinding &b = globals_[e.slot];
-            if (!b.bound())
+            if (__builtin_expect(!b.bound(), 0)) {
                 unbound(e);
-            return unwrap(mm_.load(e.loc, globalDef(b).type, b.place));
+                return {};
+            }
+            return take(mm_.load(e.loc, globalDef(b).type, b.place));
           }
           case frontend::NameKind::Function:
             return MemValue(functionPointer(e.slot));
@@ -706,6 +789,7 @@ Machine::evalExpr(const Expr &e)
                 makeInt(e.loc, IntKind::Int, e.enumValue));
         }
         unbound(e);
+        return {};
       case Expr::Kind::Unary:
         return evalUnary(e);
       case Expr::Kind::Binary:
@@ -713,7 +797,9 @@ Machine::evalExpr(const Expr &e)
       case Expr::Kind::Assign:
         return evalAssign(e);
       case Expr::Kind::Cond: {
-        bool c = truthy(e.cond->loc, evalExpr(*e.cond));
+        bool c = test(*e.cond, e.cond->loc);
+        if (halted())
+            return {};
         return evalExpr(c ? *e.lhs : *e.rhs);
       }
       case Expr::Kind::Cast:
@@ -723,7 +809,9 @@ Machine::evalExpr(const Expr &e)
       case Expr::Kind::Index:
       case Expr::Kind::Member: {
         PointerValue place = evalLValue(e);
-        return unwrap(mm_.load(e.loc, e.type, place));
+        if (halted())
+            return {};
+        return take(mm_.load(e.loc, e.type, place));
       }
       case Expr::Kind::SizeofExpr:
         return MemValue(makeInt(
@@ -748,7 +836,8 @@ Machine::evalExpr(const Expr &e)
             static_cast<__int128>(fl.offset)));
       }
     }
-    raise(Failure::internal("unhandled expression", e.loc));
+    fail(Failure::internal("unhandled expression", e.loc));
+    return {};
 }
 
 PointerValue
@@ -767,10 +856,12 @@ Machine::evalUnary(const Expr &e)
     switch (e.unop) {
       case UnOp::Deref: {
         MemValue p = evalExpr(*e.lhs);
-        if (e.type->isFunction())
+        if (halted() || e.type->isFunction())
             return p; // *fp is the function designator.
-        return unwrap(mm_.load(e.loc, e.type,
-                               pointerOf(e.loc, p)));
+        PointerValue place = pointerOf(e.loc, p);
+        if (halted())
+            return {};
+        return take(mm_.load(e.loc, e.type, place));
       }
       case UnOp::AddrOf: {
         if (e.lhs->type->isFunction()) {
@@ -785,8 +876,12 @@ Machine::evalUnary(const Expr &e)
       case UnOp::Plus:
       case UnOp::Minus:
       case UnOp::BitNot:
-      case UnOp::LogNot:
-        return unaryValueOp(e, evalExpr(*e.lhs));
+      case UnOp::LogNot: {
+        MemValue v = evalExpr(*e.lhs);
+        if (halted())
+            return {};
+        return unaryValueOp(e, v);
+      }
       case UnOp::PreInc:
       case UnOp::PreDec:
       case UnOp::PostInc:
@@ -794,15 +889,21 @@ Machine::evalUnary(const Expr &e)
         bool pre = e.unop == UnOp::PreInc ||
             e.unop == UnOp::PreDec;
         PointerValue place = evalLValue(*e.lhs);
+        if (halted())
+            return {};
         TypeRef storage;
         const TypeRef &ty = unqualified(e.lhs->type, storage);
-        MemValue old = unwrap(mm_.load(e.loc, ty, place));
+        MemValue old = take(mm_.load(e.loc, ty, place));
+        if (halted())
+            return {};
         MemValue next = incDecNext(e, ty, old);
-        unwrap(mm_.store(e.loc, ty, place, next));
+        if (halted() || !check(mm_.store(e.loc, ty, place, next)))
+            return {};
         return pre ? next : old;
       }
     }
-    raise(Failure::internal("unhandled unary op", e.loc));
+    fail(Failure::internal("unhandled unary op", e.loc));
+    return {};
 }
 
 MemValue
@@ -835,7 +936,8 @@ Machine::unaryValueOp(const Expr &e, const MemValue &v)
       default:
         break;
     }
-    raise(Failure::internal("unhandled unary op", e.loc));
+    fail(Failure::internal("unhandled unary op", e.loc));
+    return {};
 }
 
 MemValue
@@ -844,7 +946,9 @@ Machine::incDecNext(const Expr &e, const TypeRef &ty, const MemValue &old)
     bool inc = e.unop == UnOp::PreInc || e.unop == UnOp::PostInc;
     if (ty->isPointer()) {
         PointerValue p = pointerOf(e.loc, old);
-        return MemValue(unwrap(mm_.arrayShift(
+        if (halted())
+            return {};
+        return MemValue(take(mm_.arrayShift(
             e.loc, p, ty->pointee, inc ? 1 : -1)));
     }
     if (ty->isFloating()) {
@@ -914,8 +1018,10 @@ Machine::intArith(const SourceLoc &loc, BinOp op, const TypeRef &ty,
             break;
           case BinOp::Div:
           case BinOp::Rem:
-            if (y == 0)
-                raiseUb(Ub::DivisionByZero, loc);
+            if (y == 0) {
+                failUb(Ub::DivisionByZero, loc);
+                return {};
+            }
             if (x == INT64_MIN && y == -1) {
                 narrow = false;
                 break;
@@ -940,14 +1046,12 @@ Machine::intArith(const SourceLoc &loc, BinOp op, const TypeRef &ty,
       case BinOp::Sub: r = x - y; break;
       case BinOp::Mul: r = x * y; break;
       case BinOp::Div:
-        if (y == 0)
-            raiseUb(Ub::DivisionByZero, loc);
-        r = x / y;
-        break;
       case BinOp::Rem:
-        if (y == 0)
-            raiseUb(Ub::DivisionByZero, loc);
-        r = x % y;
+        if (y == 0) {
+            failUb(Ub::DivisionByZero, loc);
+            return {};
+        }
+        r = op == BinOp::Div ? x / y : x % y;
         break;
       case BinOp::BitAnd: r = x & y; break;
       case BinOp::BitOr: r = x | y; break;
@@ -955,8 +1059,10 @@ Machine::intArith(const SourceLoc &loc, BinOp op, const TypeRef &ty,
       case BinOp::Shl:
       case BinOp::Shr: {
         unsigned bits = mm_.layout().intValueBytes(k) * 8;
-        if (y < 0 || y >= bits)
-            raiseUb(Ub::ShiftOutOfRange, loc);
+        if (y < 0 || y >= bits) {
+            failUb(Ub::ShiftOutOfRange, loc);
+            return {};
+        }
         if (op == BinOp::Shl) {
             r = static_cast<__int128>(
                 static_cast<cherisem::uint128>(x)
@@ -972,9 +1078,12 @@ Machine::intArith(const SourceLoc &loc, BinOp op, const TypeRef &ty,
         break;
       }
       default:
-        raise(Failure::internal("bad arithmetic op", loc));
+        fail(Failure::internal("bad arithmetic op", loc));
+        return {};
     }
     r = fitInt(loc, k, r, /*check_overflow=*/is_signed);
+    if (halted())
+        return {};
 
     if (k == IntKind::Intptr || k == IntKind::Uintptr) {
         const IntegerValue &src =
@@ -997,27 +1106,32 @@ MemValue
 Machine::evalBinary(const Expr &e)
 {
     switch (e.binop) {
-      case BinOp::LogAnd: {
-        if (!truthy(e.loc, evalExpr(*e.lhs)))
-            return MemValue(makeInt(e.loc, IntKind::Int, 0));
-        bool r = truthy(e.loc, evalExpr(*e.rhs));
-        return MemValue(makeInt(e.loc, IntKind::Int, r ? 1 : 0));
-      }
+      case BinOp::LogAnd:
       case BinOp::LogOr: {
-        if (truthy(e.loc, evalExpr(*e.lhs)))
-            return MemValue(makeInt(e.loc, IntKind::Int, 1));
-        bool r = truthy(e.loc, evalExpr(*e.rhs));
+        // The right operand runs only when the left one does not
+        // decide: false decides &&, true decides ||.
+        bool decides = e.binop == BinOp::LogOr;
+        bool l = test(*e.lhs, e.loc);
+        if (halted())
+            return {};
+        bool r = l == decides ? l : test(*e.rhs, e.loc);
         return MemValue(makeInt(e.loc, IntKind::Int, r ? 1 : 0));
       }
       case BinOp::Comma:
         evalExpr(*e.lhs);
+        if (halted())
+            return {};
         return evalExpr(*e.rhs);
       default:
         break;
     }
 
     MemValue lv = evalExpr(*e.lhs);
+    if (halted())
+        return {};
     MemValue rv = evalExpr(*e.rhs);
+    if (halted())
+        return {};
     return binaryOp(e, lv, rv);
 }
 
@@ -1034,47 +1148,54 @@ Machine::binaryOp(const Expr &e, const MemValue &lv, const MemValue &rv)
             const MemValue &pv = lt->isPointer() ? lv : rv;
             const MemValue &iv = lt->isPointer() ? rv : lv;
             PointerValue p = pointerOf(e.loc, pv);
-            return MemValue(unwrap(mm_.arrayShift(
+            if (halted())
+                return {};
+            return MemValue(take(mm_.arrayShift(
                 e.loc, p, e.type->pointee,
                 iv.asInteger().value())));
           }
-          case BinOp::Sub: {
-            if (rt->isPointer() && lt->isPointer()) {
-                return MemValue(unwrap(mm_.ptrDiff(
-                    e.loc, lt->pointee,
-                    pointerOf(e.loc, lv),
-                    pointerOf(e.loc, rv))));
+          case BinOp::Sub:
+            if (!rt->isPointer()) {
+                PointerValue p = pointerOf(e.loc, lv);
+                if (halted())
+                    return {};
+                return MemValue(take(mm_.arrayShift(
+                    e.loc, p, e.type->pointee,
+                    -rv.asInteger().value())));
             }
-            PointerValue p = pointerOf(e.loc, lv);
-            return MemValue(unwrap(mm_.arrayShift(
-                e.loc, p, e.type->pointee,
-                -rv.asInteger().value())));
-          }
+            break;
           case BinOp::Eq:
-          case BinOp::Ne: {
-            bool eq = unwrap(mm_.ptrEq(pointerOf(e.loc, lv),
-                                       pointerOf(e.loc, rv)));
-            bool r = e.binop == BinOp::Eq ? eq : !eq;
-            return MemValue(
-                makeInt(e.loc, IntKind::Int, r ? 1 : 0));
-          }
+          case BinOp::Ne:
           case BinOp::Lt:
           case BinOp::Gt:
           case BinOp::Le:
-          case BinOp::Ge: {
+          case BinOp::Ge:
+            break;
+          default:
+            fail(Failure::internal("bad pointer op", e.loc));
+            return {};
+        }
+        // Both operands are pointers.
+        PointerValue p = pointerOf(e.loc, lv);
+        if (halted())
+            return {};
+        PointerValue q = pointerOf(e.loc, rv);
+        if (halted())
+            return {};
+        if (e.binop == BinOp::Sub)
+            return MemValue(take(mm_.ptrDiff(e.loc, lt->pointee, p, q)));
+        bool r;
+        if (e.binop == BinOp::Eq || e.binop == BinOp::Ne) {
+            bool eq = take(mm_.ptrEq(p, q));
+            r = e.binop == BinOp::Eq ? eq : !eq;
+        } else {
             mem::RelOp op = e.binop == BinOp::Lt ? mem::RelOp::Lt
                 : e.binop == BinOp::Gt           ? mem::RelOp::Gt
                 : e.binop == BinOp::Le           ? mem::RelOp::Le
                                                  : mem::RelOp::Ge;
-            bool r = unwrap(mm_.ptrRelational(
-                e.loc, op, pointerOf(e.loc, lv),
-                pointerOf(e.loc, rv)));
-            return MemValue(
-                makeInt(e.loc, IntKind::Int, r ? 1 : 0));
-          }
-          default:
-            raise(Failure::internal("bad pointer op", e.loc));
+            r = take(mm_.ptrRelational(e.loc, op, p, q));
         }
+        return MemValue(makeInt(e.loc, IntKind::Int, r ? 1 : 0));
     }
 
     if (lv.isFloating() || rv.isFloating()) {
@@ -1092,12 +1213,15 @@ Machine::binaryOp(const Expr &e, const MemValue &lv, const MemValue &rv)
           case BinOp::Eq: return boolVal(e.loc, x == y);
           case BinOp::Ne: return boolVal(e.loc, x != y);
           default:
-            raise(Failure::internal("bad float op", e.loc));
+            fail(Failure::internal("bad float op", e.loc));
+            return {};
         }
     }
 
-    if (lv.isUnspec() || rv.isUnspec())
-        raiseUb(Ub::UseOfIndeterminateValue, e.loc);
+    if (lv.isUnspec() || rv.isUnspec()) {
+        failUb(Ub::UseOfIndeterminateValue, e.loc);
+        return {};
+    }
 
     const IntegerValue &a = lv.asInteger();
     const IntegerValue &b = rv.asInteger();
@@ -1143,18 +1267,26 @@ MemValue
 Machine::evalAssign(const Expr &e)
 {
     PointerValue place = evalLValue(*e.lhs);
+    if (halted())
+        return {};
     TypeRef storage;
     const TypeRef &ty = unqualified(e.lhs->type, storage);
     if (e.binop == BinOp::Comma) {
         MemValue v = evalExpr(*e.rhs);
-        unwrap(mm_.store(e.loc, ty, place, v));
+        if (halted() || !check(mm_.store(e.loc, ty, place, v)))
+            return {};
         return v;
     }
     // Compound assignment: load, op, store.
-    MemValue old = unwrap(mm_.load(e.loc, ty, place));
+    MemValue old = take(mm_.load(e.loc, ty, place));
+    if (halted())
+        return {};
     MemValue rv = evalExpr(*e.rhs);
+    if (halted())
+        return {};
     MemValue next = compoundNext(e, ty, old, rv);
-    unwrap(mm_.store(e.loc, ty, place, next));
+    if (halted() || !check(mm_.store(e.loc, ty, place, next)))
+        return {};
     return next;
 }
 
@@ -1166,8 +1298,11 @@ Machine::compoundNext(const Expr &e, const TypeRef &ty,
         __int128 delta = rv.asInteger().value();
         if (e.binop == BinOp::Sub)
             delta = -delta;
-        return MemValue(unwrap(mm_.arrayShift(
-            e.loc, pointerOf(e.loc, old), ty->pointee, delta)));
+        PointerValue p = pointerOf(e.loc, old);
+        if (halted())
+            return {};
+        return MemValue(take(mm_.arrayShift(e.loc, p, ty->pointee,
+                                            delta)));
     }
     if (ty->isFloating() || rv.isFloating()) {
         double x = old.asFloating().value;
@@ -1182,8 +1317,8 @@ Machine::compoundNext(const Expr &e, const TypeRef &ty,
           case BinOp::Mul: r = x * y; break;
           case BinOp::Div: r = x / y; break;
           default:
-            raise(Failure::internal("bad float compound op",
-                                    e.loc));
+            fail(Failure::internal("bad float compound op", e.loc));
+            return {};
         }
         mem::FloatingValue fv = old.asFloating();
         fv.value = r;
@@ -1200,6 +1335,8 @@ Machine::compoundNext(const Expr &e, const TypeRef &ty,
             : intType(b.kind);
     IntegerValue r = intArith(e.loc, e.binop, common,
                               a, b, DerivSource::Left);
+    if (halted())
+        return {};
     return MemValue(capPreservingInt(e.loc, ty->intKind,
                                      r.value(), r));
 }
@@ -1220,6 +1357,8 @@ Machine::evalCast(const Expr &e)
         return evalExpr(*e.lhs);
 
     MemValue v = evalExpr(*e.lhs);
+    if (halted())
+        return {};
     return castValueOp(e, std::move(v));
 }
 
@@ -1244,12 +1383,14 @@ Machine::castValueOp(const Expr &e, MemValue v)
         // Integer to pointer (PNVI-ae-udi attach; (u)intptr_t is
         // a capability no-op, section 3.3).
         return MemValue(
-            unwrap(mm_.ptrFromInt(e.loc, v.asInteger())));
+            take(mm_.ptrFromInt(e.loc, v.asInteger())));
     }
     if (to->isInteger()) {
         if (from->isPointer()) {
-            return MemValue(unwrap(mm_.intFromPtr(
-                e.loc, to->intKind, pointerOf(e.loc, v))));
+            PointerValue p = pointerOf(e.loc, v);
+            if (halted())
+                return {};
+            return MemValue(take(mm_.intFromPtr(e.loc, to->intKind, p)));
         }
         if (from->isFloating()) {
             return MemValue(makeInt(
@@ -1283,7 +1424,8 @@ Machine::castValueOp(const Expr &e, MemValue v)
                        : d;
         return MemValue(fv);
     }
-    raise(Failure::internal("unsupported cast", e.loc));
+    fail(Failure::internal("unsupported cast", e.loc));
+    return {};
 }
 
 // ---- calls ----
@@ -1292,30 +1434,48 @@ uint32_t
 Machine::resolveIndirectCallee(const Expr &e, const MemValue &fv)
 {
     PointerValue fp = pointerOf(e.loc, fv);
+    if (halted())
+        return 0;
     if (fp.isFunc())
         return fp.funcId;
     // Indirect call through a capability: resolve the
     // address back to a function.
     if (!fp.cap || !fp.cap->tag()) {
-        raiseUb(Ub::CheriInvalidCap, e.loc,
-                "call via untagged capability");
+        failUb(Ub::CheriInvalidCap, e.loc,
+               "call via untagged capability");
+        return 0;
     }
     auto f = mm_.functionAt(fp.cap->address());
     if (!f) {
-        raiseUb(Ub::CallTypeMismatch, e.loc,
-                "no function at target address");
+        failUb(Ub::CallTypeMismatch, e.loc,
+               "no function at target address");
+        return 0;
     }
     return *f;
 }
 
-void
+bool
 Machine::checkCallable(uint32_t idx, const SourceLoc &loc)
 {
     const frontend::FunctionDef &fn = prog_.unit.functions[idx];
     if (!fn.body) {
-        raise(Failure::constraint(
+        fail(Failure::constraint(
             "call to undefined function " + fn.name, loc));
+        return false;
     }
+    return true;
+}
+
+bool
+Machine::evalArgs(const Expr &e, std::vector<MemValue> &args)
+{
+    args.reserve(e.args.size());
+    for (const auto &a : e.args) {
+        args.push_back(evalExpr(*a));
+        if (halted())
+            return false;
+    }
+    return true;
 }
 
 MemValue
@@ -1331,17 +1491,21 @@ Machine::evalCall(const Expr &e)
         idx = e.lhs->slot;
     } else {
         MemValue fv = evalExpr(*e.lhs);
+        if (halted())
+            return {};
         idx = resolveIndirectCallee(e, fv);
+        if (halted())
+            return {};
     }
-    checkCallable(idx, e.loc);
+    if (!checkCallable(idx, e.loc))
+        return {};
     // Dynamic call-type check (UB_call_type_mismatch): tolerated —
     // sema already checked direct calls; function pointer casts can
     // still mismatch, which real CHERI C leaves undetected until the
     // call.
     std::vector<MemValue> args;
-    args.reserve(e.args.size());
-    for (const auto &a : e.args)
-        args.push_back(evalExpr(*a));
+    if (!evalArgs(e, args))
+        return {};
     return callFunction(idx, std::move(args));
 }
 
@@ -1351,9 +1515,9 @@ Machine::callFunction(uint32_t idx, std::vector<MemValue> args)
     const frontend::FunctionDef &fn = prog_.unit.functions[idx];
     if (++callDepth_ > 1000) {
         --callDepth_;
-        raise(Failure::constraint("call depth limit (stack "
-                                  "overflow)",
-                                  fn.loc));
+        fail(Failure::constraint("call depth limit (stack overflow)",
+                                 fn.loc));
+        return {};
     }
     if (mm_.tracer().enabled()) {
         mm_.tracer().emit({.kind = obs::EventKind::FuncEnter,
@@ -1366,13 +1530,10 @@ Machine::callFunction(uint32_t idx, std::vector<MemValue> args)
     size_t base = frame_.size();
     frame_.resize(base + fn.numSlots);
     frameBase_ = base;
-    auto leaveFrame = [&] {
-        frame_.resize(base);
-        frameBase_ = callerBase;
-    };
-    // A failure while binding the parameters unwinds with this
-    // call's depth and scope still counted: the caller's handler
-    // pops that scope, as every handler pops the innermost one.
+    // A failure while binding the parameters returns with this
+    // call's frame, depth and scope still counted: the caller's
+    // terminal path pops that scope, as each call on that path pops
+    // the innermost one.
     pushScope();
     static const std::string kParam = "param";
     for (size_t i = 0; i < fn.type->params.size() &&
@@ -1384,9 +1545,11 @@ Machine::callFunction(uint32_t idx, std::vector<MemValue> args)
                 : kParam;
         const TypeRef &pty = fn.type->params[i];
         PointerValue place =
-            unwrap(mm_.allocateObject(name, pty, false, false));
-        unwrap(mm_.store(fn.loc, pty, writablePlace(place), args[i],
-                         /*initializing=*/true));
+            take(mm_.allocateObject(name, pty, false, false));
+        if (halted() ||
+            !check(mm_.store(fn.loc, pty, writablePlace(place), args[i],
+                             /*initializing=*/true)))
+            return {};
         bindLocal(static_cast<uint32_t>(i), place, /*owned=*/true);
     }
     // Variadic extras are accessible via the builtin va-list
@@ -1396,34 +1559,26 @@ Machine::callFunction(uint32_t idx, std::vector<MemValue> args)
     // type (typed below, so a call that returns a value copies no
     // TypeRef).
     MemValue result;
-    Flow flow = Flow::Normal;
-    auto trace_exit = [&] {
-        if (mm_.tracer().enabled()) {
-            mm_.tracer().emit(
-                {.kind = obs::EventKind::FuncExit,
-                 .a = idx,
-                 .b = static_cast<uint64_t>(callDepth_),
-                 .label = fn.name});
-        }
-    };
-    try {
-        flow = execStmt(*fn.body, &result);
-    } catch (...) {
-        leaveFrame();
-        popScope(fn.loc);
-        mm_.stackRestore(sp);
-        // Balance FuncEnter even on non-local exit so duration
-        // slices in the Chrome exporter stay well-nested.
-        trace_exit();
-        --callDepth_;
-        throw;
-    }
-    (void)flow;
-    leaveFrame();
-    popScope(fn.loc);
+    Flow flow = execStmt(*fn.body, &result);
+    // Normal and terminal returns leave alike.  On the terminal path
+    // the innermost open scope may be a nested block's, or a
+    // callee's whose parameters failed to bind.
+    frame_.resize(base);
+    frameBase_ = callerBase;
+    if (!popScope(fn.loc))
+        return {};
     mm_.stackRestore(sp);
-    trace_exit();
+    // FuncEnter is balanced on the terminal path too, so duration
+    // slices in the Chrome exporter stay well-nested.
+    if (mm_.tracer().enabled()) {
+        mm_.tracer().emit({.kind = obs::EventKind::FuncExit,
+                           .a = idx,
+                           .b = static_cast<uint64_t>(callDepth_),
+                           .label = fn.name});
+    }
     --callDepth_;
+    if (flow == Flow::Terminal)
+        return {};
     if (fn.name == "main" && result.isUnspec())
         return MemValue(makeInt(fn.loc, IntKind::Int, 0));
     if (result.isUnspec() && !std::get<mem::UnspecValue>(result.v).type)
@@ -1436,13 +1591,16 @@ Machine::callFunction(uint32_t idx, std::vector<MemValue> args)
 Flow
 Machine::execStmt(const Stmt &s, MemValue *ret)
 {
-    step(s.loc);
+    // On Flow::Terminal a statement returns at once: the scopes it
+    // opened stay open for callFunction's terminal path.
+    if (!step(s.loc))
+        return Flow::Terminal;
     switch (s.kind) {
       case Stmt::Kind::Empty:
         return Flow::Normal;
       case Stmt::Kind::Expr:
         evalExpr(*s.expr);
-        return Flow::Normal;
+        return halted() ? Flow::Terminal : Flow::Normal;
       case Stmt::Kind::Decl:
         for (const frontend::VarDecl &d : s.decls) {
             if (d.isStatic) {
@@ -1450,25 +1608,29 @@ Machine::execStmt(const Stmt &s, MemValue *ret)
                 // first execution only, surviving across calls.
                 if (!staticLocals_[d.staticSlot].cap) {
                     PointerValue place =
-                        unwrap(mm_.allocateObject(
+                        take(mm_.allocateObject(
                             d.name, d.type, d.type->isConst,
                             /*is_static=*/true));
-                    storeZero(d.loc, place, d.type);
-                    if (d.hasInit)
-                        storeInitializer(d.loc, place, d.type,
-                                         d.init);
+                    if (halted() || !storeZero(d.loc, place, d.type) ||
+                        (d.hasInit &&
+                         !storeInitializer(d.loc, place, d.type,
+                                           d.init)))
+                        return Flow::Terminal;
                     staticLocals_[d.staticSlot] = place;
                 }
                 bindLocal(d.slot, staticLocals_[d.staticSlot],
                           /*owned=*/false);
                 continue;
             }
-            PointerValue place = unwrap(mm_.allocateObject(
+            PointerValue place = take(mm_.allocateObject(
                 d.name, d.type, d.type->isConst,
                 /*is_static=*/false));
+            if (halted())
+                return Flow::Terminal;
             bindLocal(d.slot, place, /*owned=*/true);
-            if (d.hasInit)
-                storeInitializer(d.loc, place, d.type, d.init);
+            if (d.hasInit &&
+                !storeInitializer(d.loc, place, d.type, d.init))
+                return Flow::Terminal;
         }
         return Flow::Normal;
       case Stmt::Kind::Block: {
@@ -1479,11 +1641,14 @@ Machine::execStmt(const Stmt &s, MemValue *ret)
             if (f != Flow::Normal)
                 break;
         }
-        popScope(s.loc);
+        if (f == Flow::Terminal || !popScope(s.loc))
+            return Flow::Terminal;
         return f;
       }
       case Stmt::Kind::If: {
-        bool c = truthy(s.expr->loc, evalExpr(*s.expr));
+        bool c = test(*s.expr, s.expr->loc);
+        if (halted())
+            return Flow::Terminal;
         if (c)
             return execStmt(*s.thenStmt, ret);
         if (s.elseStmt)
@@ -1492,67 +1657,94 @@ Machine::execStmt(const Stmt &s, MemValue *ret)
       }
       case Stmt::Kind::While:
         for (;;) {
-            step(s.loc);
-            if (!truthy(s.expr->loc, evalExpr(*s.expr)))
+            if (!step(s.loc))
+                return Flow::Terminal;
+            bool c = test(*s.expr, s.expr->loc);
+            if (halted())
+                return Flow::Terminal;
+            if (!c)
                 return Flow::Normal;
             Flow f = execStmt(*s.thenStmt, ret);
             if (f == Flow::Break)
                 return Flow::Normal;
-            if (f == Flow::Return)
+            if (f == Flow::Return || f == Flow::Terminal)
                 return f;
         }
       case Stmt::Kind::DoWhile:
         for (;;) {
-            step(s.loc);
+            if (!step(s.loc))
+                return Flow::Terminal;
             Flow f = execStmt(*s.thenStmt, ret);
             if (f == Flow::Break)
                 return Flow::Normal;
-            if (f == Flow::Return)
+            if (f == Flow::Return || f == Flow::Terminal)
                 return f;
-            if (!truthy(s.expr->loc, evalExpr(*s.expr)))
+            bool c = test(*s.expr, s.expr->loc);
+            if (halted())
+                return Flow::Terminal;
+            if (!c)
                 return Flow::Normal;
         }
       case Stmt::Kind::For: {
         pushScope();
         Flow result = Flow::Normal;
-        if (s.forInit)
-            execStmt(*s.forInit, ret);
+        if (s.forInit && execStmt(*s.forInit, ret) == Flow::Terminal)
+            return Flow::Terminal;
         for (;;) {
-            step(s.loc);
-            if (s.forCond &&
-                !truthy(s.forCond->loc, evalExpr(*s.forCond))) {
-                break;
+            if (!step(s.loc))
+                return Flow::Terminal;
+            if (s.forCond) {
+                bool c = test(*s.forCond, s.forCond->loc);
+                if (halted())
+                    return Flow::Terminal;
+                if (!c)
+                    break;
             }
             Flow f = execStmt(*s.thenStmt, ret);
             if (f == Flow::Break)
                 break;
+            if (f == Flow::Terminal)
+                return f;
             if (f == Flow::Return) {
                 result = f;
                 break;
             }
-            if (s.forStep)
+            if (s.forStep) {
                 evalExpr(*s.forStep);
+                if (halted())
+                    return Flow::Terminal;
+            }
         }
-        popScope(s.loc);
+        if (!popScope(s.loc))
+            return Flow::Terminal;
         return result;
       }
       case Stmt::Kind::Switch: {
-        __int128 control =
-            evalExpr(*s.expr).asInteger().value();
+        __int128 control;
+        {
+            // Scoped, so its slot is shared with the labels' values.
+            MemValue cv = evalExpr(*s.expr);
+            if (halted())
+                return Flow::Terminal;
+            control = cv.asInteger().value();
+        }
         // The body is (almost always) a block whose top-level
         // statements carry case labels; find the entry point and
         // fall through from there.
         if (s.thenStmt->kind != Stmt::Kind::Block) {
-            raise(Failure::constraint(
+            fail(Failure::constraint(
                 "switch body must be a block", s.loc));
+            return Flow::Terminal;
         }
         const auto &stmts = s.thenStmt->body;
         size_t entry = stmts.size();
         size_t dflt = stmts.size();
         for (size_t i = 0; i < stmts.size(); ++i) {
             for (const auto &label : stmts[i]->caseExprs) {
-                if (evalExpr(*label).asInteger().value() ==
-                    control) {
+                MemValue lv = evalExpr(*label);
+                if (halted())
+                    return Flow::Terminal;
+                if (lv.asInteger().value() == control) {
                     entry = i;
                     break;
                 }
@@ -1584,12 +1776,16 @@ Machine::execStmt(const Stmt &s, MemValue *ret)
                 break;
             }
         }
-        popScope(s.loc);
+        if (result == Flow::Terminal || !popScope(s.loc))
+            return Flow::Terminal;
         return result;
       }
       case Stmt::Kind::Return:
-        if (s.expr && ret)
+        if (s.expr && ret) {
             *ret = evalExpr(*s.expr);
+            if (halted())
+                return Flow::Terminal;
+        }
         return Flow::Return;
       case Stmt::Kind::Break:
         return Flow::Break;
@@ -1648,15 +1844,17 @@ Machine::readCString(const SourceLoc &loc, const PointerValue &p)
     std::string out;
     PointerValue cur = p;
     for (uint64_t i = 0; i < 1u << 20; ++i) {
-        MemValue b = unwrap(
-            mm_.load(loc, intType(IntKind::UChar), cur));
+        MemValue b = take(mm_.load(loc, intType(IntKind::UChar), cur));
+        if (halted())
+            return {};
         uint8_t c = static_cast<uint8_t>(b.asInteger().value());
         if (c == 0)
             return out;
         out += static_cast<char>(c);
         cur.cap = cur.cap->withAddress(cur.address() + 1);
     }
-    raise(Failure::constraint("unterminated string", loc));
+    fail(Failure::constraint("unterminated string", loc));
+    return {};
 }
 
 std::string
@@ -1682,13 +1880,6 @@ Machine::formatPrintf(const SourceLoc &loc, const std::string &fmt,
 {
     std::string out;
     size_t ai = first_arg;
-    auto next_arg = [&]() -> const MemValue & {
-        if (ai >= args.size()) {
-            raise(Failure::constraint("printf: not enough arguments",
-                                      loc));
-        }
-        return args[ai++];
-    };
     for (size_t i = 0; i < fmt.size(); ++i) {
         char c = fmt[i];
         if (c != '%') {
@@ -1720,41 +1911,50 @@ Machine::formatPrintf(const SourceLoc &loc, const std::string &fmt,
         (void)size_mod;
         if (i >= fmt.size())
             break;
-        switch (fmt[i]) {
-          case '%':
-            out += '%';
-            break;
+        char conv = fmt[i];
+        if (std::string_view("diuxXacspfge").find(conv) ==
+            std::string_view::npos) {
+            out += conv;
+            continue;
+        }
+        if (ai >= args.size()) {
+            fail(Failure::constraint("printf: not enough arguments",
+                                     loc));
+            return {};
+        }
+        const MemValue &v = args[ai++];
+        switch (conv) {
           case 'd':
           case 'i':
             out += decStr(static_cast<cherisem::int128>(
-                next_arg().asInteger().value()));
+                v.asInteger().value()));
             break;
           case 'u':
             out += decStr(static_cast<cherisem::uint128>(
-                next_arg().asInteger().value()));
+                v.asInteger().value()));
             break;
           case 'x':
           case 'X':
           case 'a': {
             std::string h = hexStr(static_cast<cherisem::uint128>(
-                next_arg().asInteger().value()));
+                v.asInteger().value()));
             out += h.substr(2); // printf %x has no 0x prefix
             break;
           }
           case 'c':
-            out += static_cast<char>(next_arg().asInteger().value());
+            out += static_cast<char>(v.asInteger().value());
             break;
-          case 's':
-            out += readCString(
-                loc, next_arg().asPointer());
+          case 's': {
+            std::string str = readCString(loc, v.asPointer());
+            if (halted())
+                return {};
+            out += str;
             break;
+          }
           case 'p':
-            out += formatCapValue(next_arg());
+            out += formatCapValue(v);
             break;
-          case 'f':
-          case 'g':
-          case 'e': {
-            const MemValue &v = next_arg();
+          default: { // f, g, e
             double d = v.isFloating()
                            ? v.asFloating().value
                            : static_cast<double>(
@@ -1762,9 +1962,6 @@ Machine::formatPrintf(const SourceLoc &loc, const std::string &fmt,
             out += strPrintf("%g", d);
             break;
           }
-          default:
-            out += fmt[i];
-            break;
         }
     }
     return out;
@@ -1787,24 +1984,17 @@ Machine::evalBuiltin(const Expr &e)
                  .label = intrinsics::builtinName(b)});
     }
 
-    auto eval_args = [&] {
-        std::vector<MemValue> args;
-        args.reserve(e.args.size());
-        for (const auto &a : e.args)
-            args.push_back(evalExpr(*a));
-        return args;
-    };
-
+    std::vector<MemValue> args;
     if (!mm_.tracer().enabled()) {
-        std::vector<MemValue> args = eval_args();
+        if (!evalArgs(e, args))
+            return {};
         return builtinCall(e, args);
     }
-    // Scoped timer: accumulate even when the intrinsic raises (UB
-    // unwinds through here as an EvalFailure exception).  Argument
-    // evaluation is inside the timed region, matching the original
-    // single-method shape.
+    // Scoped timer: accumulates on every return, terminal ones
+    // included.  Argument evaluation is inside the timed region.
     ScopedIntrinsicTimer scoped{&intrinsicNs_[idx]};
-    std::vector<MemValue> args = eval_args();
+    if (!evalArgs(e, args))
+        return {};
     return builtinCall(e, args);
 }
 
@@ -1822,22 +2012,23 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
 
     switch (b) {
       case Builtin::Malloc:
-        return MemValue(unwrap(mm_.allocateRegion(
+        return MemValue(take(mm_.allocateRegion(
             "malloc", uintval(0), mm_.arch().capSize())));
       case Builtin::Calloc: {
         uint64_t n = uintval(0) * uintval(1);
-        PointerValue p = unwrap(mm_.allocateRegion(
+        PointerValue p = take(mm_.allocateRegion(
             "calloc", n, mm_.arch().capSize()));
         // Exhausted arena: calloc returns NULL with nothing to zero.
-        if (!p.isNull() && n > 0)
-            unwrap(mm_.memsetOp(loc, p, 0, n));
+        if (halted() ||
+            (!p.isNull() && n > 0 && !check(mm_.memsetOp(loc, p, 0, n))))
+            return {};
         return MemValue(p);
       }
       case Builtin::Free:
-        unwrap(mm_.kill(loc, true, args[0].asPointer()));
+        check(mm_.kill(loc, true, args[0].asPointer()));
         return void_result();
       case Builtin::Realloc:
-        return MemValue(unwrap(mm_.reallocRegion(
+        return MemValue(take(mm_.reallocRegion(
             loc, args[0].asPointer(), uintval(1))));
       case Builtin::Memcpy:
       case Builtin::Memmove: {
@@ -1847,19 +2038,19 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
         if (b == Builtin::Memmove && n > 0) {
             // memmove permits overlap: the memory model stages the
             // copy (bytes and capability metadata) internally.
-            unwrap(mm_.memmoveOp(loc, dst, src, n));
+            check(mm_.memmoveOp(loc, dst, src, n));
         } else if (n > 0) {
-            unwrap(mm_.memcpyOp(loc, dst, src, n));
+            check(mm_.memcpyOp(loc, dst, src, n));
         }
         return args[0];
       }
       case Builtin::Memset:
-        unwrap(mm_.memsetOp(loc, args[0].asPointer(),
-                            static_cast<uint8_t>(uintval(1)),
-                            uintval(2)));
+        check(mm_.memsetOp(loc, args[0].asPointer(),
+                           static_cast<uint8_t>(uintval(1)),
+                           uintval(2)));
         return args[0];
       case Builtin::Memcmp:
-        return MemValue(unwrap(mm_.memcmpOp(
+        return MemValue(take(mm_.memcmpOp(
             loc, args[0].asPointer(), args[1].asPointer(),
             uintval(2))));
       case Builtin::Strlen: {
@@ -1867,29 +2058,33 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
         return MemValue(makeInt(loc, IntKind::ULong,
                                 static_cast<__int128>(s.size())));
       }
-      case Builtin::Printf: {
-        std::string fmt = readCString(loc, args[0].asPointer());
-        std::string s = formatPrintf(loc, fmt, args, 1);
-        output_ += s;
-        return MemValue(makeInt(loc, IntKind::Int,
-                                static_cast<__int128>(s.size())));
-      }
+      case Builtin::Printf:
       case Builtin::Fprintf: {
-        std::string fmt = readCString(loc, args[1].asPointer());
-        std::string s = formatPrintf(loc, fmt, args, 2);
+        // fprintf's stream argument is ignored: both print to the
+        // run's output.
+        size_t first = b == Builtin::Printf ? 0 : 1;
+        std::string fmt = readCString(loc, args[first].asPointer());
+        if (halted())
+            return {};
+        std::string s = formatPrintf(loc, fmt, args, first + 1);
+        if (halted())
+            return {};
         output_ += s;
         return MemValue(makeInt(loc, IntKind::Int,
                                 static_cast<__int128>(s.size())));
       }
-      case Builtin::Assert:
-        if (!truthy(loc, args[0]))
-            throw AssertFailure{"assertion failed at " + loc.str()};
+      case Builtin::Assert: {
+        bool holds = truthy(loc, args[0]);
+        if (!halted() && !holds)
+            halt(Aborted{"assertion failed at " + loc.str()});
         return void_result();
+      }
       case Builtin::Abort:
-        throw AssertFailure{"abort() called at " + loc.str()};
+        halt(Aborted{"abort() called at " + loc.str()});
+        return {};
       case Builtin::Exit:
-        throw ExitException{
-            static_cast<int>(args[0].asInteger().value())};
+        halt(Exited{static_cast<int>(args[0].asInteger().value())});
+        return {};
       case Builtin::CheriDdcGet: {
         // The DDC root capability: whole address space, every
         // permission.  PNVI provenance is empty — accesses through it
@@ -1903,6 +2098,8 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
       }
       case Builtin::PrintCap: {
         std::string label = readCString(loc, args[0].asPointer());
+        if (halted())
+            return {};
         output_ += label + " " + formatCapValue(args[1]) + "\n";
         return void_result();
       }
@@ -1928,8 +2125,9 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
                     mm_.arch().representableAlignmentMask(
                         uintval(0)))));
         }
-        raise(Failure::internal("intrinsic needs capability argument",
-                                loc));
+        fail(Failure::internal("intrinsic needs capability argument",
+                               loc));
+        return {};
     }
 
     switch (b) {
@@ -1992,9 +2190,10 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
             c0->address(), cherisem::uint128(c0->address()) + len);
         if (b == Builtin::CheriBoundsSetExact &&
             nc.length() != len) {
-            raiseUb(Ub::CheriBoundsViolation, loc,
-                    "cheri_bounds_set_exact: length not exactly "
-                    "representable");
+            failUb(Ub::CheriBoundsViolation, loc,
+                   "cheri_bounds_set_exact: length not exactly "
+                   "representable");
+            return {};
         }
         return capArgRebuild(loc, args[0], nc);
       }
@@ -2042,7 +2241,8 @@ Machine::builtinCall(const Expr &e, std::vector<MemValue> &args)
       case Builtin::CheriRepresentableLength:
       case Builtin::CheriRepresentableAlignmentMask:
       default:
-        raise(Failure::internal("unhandled builtin", loc));
+        fail(Failure::internal("unhandled builtin", loc));
+        return {};
     }
 }
 
