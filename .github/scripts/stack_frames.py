@@ -28,12 +28,18 @@ import subprocess
 import sys
 import tempfile
 
-# Bytes of native stack per frame.
+# Bytes of native stack per frame: every Machine method that the
+# recursion of one C call passes through, or that one expression
+# nests (evalAssign, evalLValue and evalUnary are the largest).
 BUDGETS = {
     "evalExpr": 496,
     "binaryOp": 816,
-    "evalBinary": 448,
-    "callFunction": 720,
+    "evalBinary": 432,
+    "evalAssign": 992,
+    "evalLValue": 864,
+    "evalUnary": 800,
+    "execStmt": 528,
+    "callFunction": 704,
     "builtinCall": 864,
 }
 
