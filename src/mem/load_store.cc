@@ -498,14 +498,15 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
 
 /** Pack the capability metadata at @p addr (if the footprint holds a
  *  whole, aligned slot) for the Load/Store event payload:
- *  bit0 = slot metadata present, bit1 = tag, bits 2-3 = ghost. */
+ *  bit0 = slot metadata present, bit1 = tag, bits 2-3 = ghost.  An
+ *  uncounted read: tracing must not move MemStats. */
 uint64_t
 MemoryModel::packedCapMeta(uint64_t addr, uint64_t n) const
 {
     unsigned cs = arch().capSize();
     if (addr % cs != 0 || n < cs)
         return 0;
-    std::optional<CapMeta> meta = store_->capMetaAt(addr);
+    std::optional<CapMeta> meta = store_->peekCapMeta(addr);
     if (!meta)
         return 0;
     return 1u | (meta->tag ? 2u : 0u) |

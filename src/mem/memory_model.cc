@@ -900,7 +900,7 @@ CapMeta
 MemoryModel::peekCapMeta(uint64_t addr) const
 {
     uint64_t slot = addr / arch().capSize() * arch().capSize();
-    return store_->capMetaAt(slot).value_or(CapMeta{});
+    return store_->peekCapMeta(slot).value_or(CapMeta{});
 }
 
 size_t

@@ -192,10 +192,9 @@ MapStore::copyRange(uint64_t dst, uint64_t src, uint64_t n)
 }
 
 std::optional<CapMeta>
-MapStore::capMetaAt(uint64_t slot) const
+MapStore::peekCapMeta(uint64_t slot) const
 {
     assert(slot % capSize_ == 0);
-    ++stats_.capMetaReads;
     auto it = capMeta_.find(slot);
     if (it == capMeta_.end())
         return std::nullopt;
@@ -648,10 +647,9 @@ PagedStore::copyRange(uint64_t dst, uint64_t src, uint64_t n)
 }
 
 std::optional<CapMeta>
-PagedStore::capMetaAt(uint64_t slot) const
+PagedStore::peekCapMeta(uint64_t slot) const
 {
     assert(slot % capSize_ == 0);
-    ++stats_.capMetaReads;
     const Page *p = findPage(slot / kPageBytes);
     if (!p)
         return std::nullopt;

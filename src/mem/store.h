@@ -133,8 +133,17 @@ class AbstractStore
     /// @name Capability-metadata (C) primitives.
     /// @{
     /** Metadata at the aligned @p slot; nullopt when none was ever
-     *  recorded (distinct from a recorded clear tag, section 3.5). */
-    virtual std::optional<CapMeta> capMetaAt(uint64_t slot) const = 0;
+     *  recorded (distinct from a recorded clear tag, section 3.5).
+     *  Counted in StoreStats::capMetaReads. */
+    std::optional<CapMeta>
+    capMetaAt(uint64_t slot) const
+    {
+        ++stats_.capMetaReads;
+        return peekCapMeta(slot);
+    }
+    /** capMetaAt() uncounted: for observers (trace payloads,
+     *  introspection) that must leave the counters as they are. */
+    virtual std::optional<CapMeta> peekCapMeta(uint64_t slot) const = 0;
     virtual void setCapMeta(uint64_t slot, const CapMeta &m) = 0;
     virtual void eraseCapMeta(uint64_t slot) = 0;
     /**
@@ -318,7 +327,7 @@ class MapStore final : public AbstractStore
     void clearRange(uint64_t addr, uint64_t n) override;
     void copyRange(uint64_t dst, uint64_t src, uint64_t n) override;
 
-    std::optional<CapMeta> capMetaAt(uint64_t slot) const override;
+    std::optional<CapMeta> peekCapMeta(uint64_t slot) const override;
     void setCapMeta(uint64_t slot, const CapMeta &m) override;
     void eraseCapMeta(uint64_t slot) override;
     uint64_t invalidateCapRange(uint64_t addr, uint64_t n,
@@ -522,7 +531,7 @@ class PagedStore final : public AbstractStore
     void clearRange(uint64_t addr, uint64_t n) override;
     void copyRange(uint64_t dst, uint64_t src, uint64_t n) override;
 
-    std::optional<CapMeta> capMetaAt(uint64_t slot) const override;
+    std::optional<CapMeta> peekCapMeta(uint64_t slot) const override;
     void setCapMeta(uint64_t slot, const CapMeta &m) override;
     void eraseCapMeta(uint64_t slot) override;
     uint64_t invalidateCapRange(uint64_t addr, uint64_t n,
