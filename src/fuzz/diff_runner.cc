@@ -6,12 +6,14 @@
 
 #include "corelang/eval.h"
 #include "obs/differential.h"
+#include "obs/trace_event.h"
 
 namespace cherisem::fuzz {
 
 namespace {
 
 using corelang::Outcome;
+using obs::jsonEscape;
 
 bool
 isCrash(const driver::RunResult &r)
@@ -28,32 +30,6 @@ bool
 sameOutcome(const driver::RunResult &a, const driver::RunResult &b)
 {
     return a.summary() == b.summary() && a.outcome.output == b.outcome.output;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char ch : s) {
-        switch (ch) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                snprintf(buf, sizeof buf, "\\u%04x",
-                         static_cast<unsigned char>(ch));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
 }
 
 /**

@@ -48,8 +48,6 @@ renderEvent(const TraceEvent &e)
     return s;
 }
 
-namespace {
-
 void
 appendJsonEscaped(std::string &out, const std::string &s)
 {
@@ -74,8 +72,6 @@ appendJsonEscaped(std::string &out, const std::string &s)
         }
     }
 }
-
-} // namespace
 
 std::string
 jsonEscape(const std::string &s)

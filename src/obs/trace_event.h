@@ -109,7 +109,12 @@ std::string renderEventJson(const TraceEvent &e);
  *  that reuses @p out renders without allocating. */
 void appendEventJson(std::string &out, const TraceEvent &e);
 
-/** JSON-escape a string (quotes not included). */
+/** Append @p s to @p out JSON-escaped (quotes not included): quote,
+ *  backslash, \n, \r and \t by name, other control bytes as
+ *  lower-case \u00xx.  The one JSON string escaper of the project. */
+void appendJsonEscaped(std::string &out, const std::string &s);
+
+/** appendJsonEscaped() into a new string. */
 std::string jsonEscape(const std::string &s);
 
 } // namespace cherisem::obs

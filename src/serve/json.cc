@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/trace_event.h"
+
 namespace cherisem::serve {
 
 namespace {
@@ -293,23 +295,7 @@ void
 appendJsonString(std::string &out, const std::string &s)
 {
     out.push_back('"');
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
+    obs::appendJsonEscaped(out, s);
     out.push_back('"');
 }
 

@@ -55,8 +55,8 @@ struct Json
  *  allowed).  Returns false and sets @p err on malformed input. */
 bool parseJson(const std::string &text, Json *out, std::string *err);
 
-/** Append @p s to @p out as a quoted JSON string (escaping control
- *  characters, quotes and backslashes). */
+/** Append @p s to @p out as a quoted JSON string, escaped by
+ *  obs::appendJsonEscaped(). */
 void appendJsonString(std::string &out, const std::string &s);
 
 /** Render @p value back to compact JSON (object keys in map order).
