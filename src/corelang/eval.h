@@ -65,7 +65,7 @@ struct Outcome
         AssertFail,  ///< assert() fired (or abort())
         Error,       ///< semantic/internal error (not UB)
         /** A budget ran out (step limit, deadline, cancellation).
-         *  The machine unwound cleanly — stats and output up to the
+         *  The machine stopped cleanly — stats and output up to the
          *  cut are valid — but the verdict is "still running", not a
          *  property of the program. */
         ResourceExhausted,

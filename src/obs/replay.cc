@@ -10,7 +10,7 @@ void
 StopAtSeqSink::write(const TraceEvent &e)
 {
     if (stopped_)
-        return; // unwind-path events after the stop fired
+        return; // the stop has fired once already
     events_.push_back(e);
     if (inner_)
         inner_->emit(e);

@@ -24,12 +24,12 @@
  *
  *  - StopAtSeqSink  a recording sink that throws ReplayStop from
  *    write() immediately after the event with seq == stopAfter is
- *    recorded.  The exception unwinds out of the machine through
- *    runMain() — its typed catch sites (EvalFailure /
- *    ExitException / AssertFailure) do not intercept it, and their
- *    catch(...) frame-cleanup handlers rethrow.  Events emitted
- *    while that unwind is in flight (the FuncExit balancing events)
- *    are swallowed, so events() ends exactly at stopAfter.
+ *    recorded.  ReplayStop is the one C++ exception that crosses
+ *    corelang::Machine: the machine carries its own verdicts as
+ *    values and has no handler, so the exception leaves every
+ *    evaluator frame and runMain() untouched and nothing more is
+ *    emitted.  Should anything still emit into the sink afterwards,
+ *    it is swallowed, so events() ends exactly at stopAfter.
  *
  * `cherisem_run --replay-to SEQ` drives both: record a traced run
  * once, then restore the nearest snapshot and re-execute only the
@@ -46,9 +46,8 @@
 
 namespace cherisem::obs {
 
-/** Thrown by StopAtSeqSink when the target event has been recorded.
- *  A plain carrier struct, mirroring the machine's own non-local
- *  control flow types (corelang/machine.h). */
+/** Thrown by StopAtSeqSink when the target event has been recorded;
+ *  the driver catches it around the whole run. */
 struct ReplayStop
 {
     /** Sequence number of the last event recorded (== stopAfter). */
@@ -57,10 +56,8 @@ struct ReplayStop
 
 /**
  * Records events until the one with seq == stopAfter has been
- * written, then throws ReplayStop.  Later writes (the unwind path's
- * scope-balancing events) are dropped silently: throwing again from
- * inside a frame-cleanup handler would replace the in-flight
- * exception and re-trigger on every frame.
+ * written, then throws ReplayStop.  Later writes are dropped
+ * silently rather than thrown again: the stop fires once.
  */
 class StopAtSeqSink : public TraceSink
 {

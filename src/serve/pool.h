@@ -8,9 +8,9 @@
  * instead of unbounded memory under heavy traffic), and shutdown
  * drains what was accepted.  Per-task deadlines/cancellation live
  * inside the task (EvalOptions watchdog), not in the pool: a worker
- * is never killed, it always unwinds cleanly through the
- * interpreter's exception path, so no allocation in a worker's
- * MemoryModel can leak and no partial trace escapes.
+ * is never killed, its run always returns cleanly with a terminal
+ * verdict, so no allocation in a worker's MemoryModel can leak and
+ * no partial trace escapes.
  */
 #ifndef CHERISEM_SERVE_POOL_H
 #define CHERISEM_SERVE_POOL_H

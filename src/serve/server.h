@@ -8,7 +8,7 @@
  * MemoryModel over the shared immutable CompiledProgram, under the
  * server's step budget, per-request wall-clock deadline, and the
  * server-wide cancel flag; a hostile program therefore costs at
- * most one deadline of one worker's time and unwinds cleanly as a
+ * most one deadline of one worker's time and ends cleanly as a
  * "resource-exhausted" verdict.
  *
  * Two frontends share this server: runBatch() (one-shot NDJSON

@@ -9,7 +9,8 @@
  * rules that resolution must keep: lexical shadowing (a callee never
  * sees its caller's locals), per-iteration and per-call objects,
  * switch bodies, static locals, literal and function identity, and
- * the order in which block exit (and unwinding) kills objects.
+ * the order in which block exit (and a terminal verdict) kills
+ * objects.
  */
 #include <gtest/gtest.h>
 
@@ -234,9 +235,10 @@ TEST(ScopeSlots, FreeOrderAtBlockExit)
     EXPECT_EQ(r.scopeFrees,
               (std::vector<std::string>{"c", "b", "d", "a"}));
 
-    // Unwinding: each call's handler pops the innermost open scope,
-    // so the callee's inner block and then its body block are killed;
-    // the caller's scopes stay open when the run ends.
+    // A terminal verdict: each call on the way out pops the
+    // innermost open scope, so the callee's inner block and then its
+    // body block are killed; the caller's scopes stay open when the
+    // run ends.
     r = run("int g(void) { int u = 1; { int v = 2; int *p = 0; "
             "return *p + u + v; } }\n"
             "int main(void) { int m = 0; { int n = 1; return g() + m + n; } }\n");

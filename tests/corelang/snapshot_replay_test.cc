@@ -5,8 +5,8 @@
  * Three layers, bottom up:
  *
  *  - obs::SnapshotIndex / obs::StopAtSeqSink — the replay plumbing
- *    (nearest-at-or-before lookup; stop-and-swallow semantics for
- *    the unwind path's balancing events);
+ *    (nearest-at-or-before lookup; stop once, swallow whatever is
+ *    emitted after the stop);
  *
  *  - Machine::capture()/restoreSnapshot() — forking a quiescent
  *    post-prelude state must be invisible: a warm run (restore +
@@ -65,8 +65,8 @@ TEST(StopAtSeqSink, StopsExactlyAfterTargetIsRecorded)
     ASSERT_EQ(sink.events().size(), 3u);
     EXPECT_EQ(sink.events().back().addr, 0x30u);
 
-    // The unwind path's balancing events are swallowed, not
-    // rethrown: the retained stream still ends at the target.
+    // Events after the stop are swallowed, not rethrown: the
+    // retained stream still ends at the target.
     sink.emit(load(0x40));
     EXPECT_EQ(sink.events().size(), 3u);
 }
