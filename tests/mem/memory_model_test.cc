@@ -549,5 +549,92 @@ TEST_F(MemoryModelTest, CheriotArchWorksToo)
     EXPECT_TRUE(r.value().asPointer().cap->tag());
 }
 
+TEST_F(MemoryModelTest, KillOfHandleMintedAfterSnapshotReportsItGone)
+{
+    allocInt("x");
+    MemorySnapshotPtr snap = mm_->snapshot();
+    PointerValue y = allocInt("y");
+    auto heap = mm_->allocateRegion("malloc", 8, 16);
+    ASSERT_TRUE(heap.ok());
+    mm_->restore(snap);
+
+    // Both handles name allocations the restored table no longer has.
+    auto scope_exit = mm_->kill({}, /*dyn=*/false, y);
+    ASSERT_FALSE(scope_exit.ok());
+    EXPECT_EQ(scope_exit.error().ub, Ub::AccessDeadAllocation);
+    EXPECT_EQ(scope_exit.error().message, "allocation no longer exists");
+    auto freed = mm_->kill({}, /*dyn=*/true, heap.value());
+    ASSERT_FALSE(freed.ok());
+    EXPECT_EQ(freed.error().ub, Ub::DoubleFree);
+    EXPECT_EQ(freed.error().message, "allocation no longer exists");
+}
+
+TEST_F(MemoryModelTest, RestoreRewindsAllocationIds)
+{
+    PointerValue x = allocInt("x");
+    MemorySnapshotPtr snap = mm_->snapshot();
+    PointerValue y = allocInt("y");
+    allocInt("w");
+    mm_->restore(snap);
+    EXPECT_EQ(mm_->findAllocation(y.prov.id), nullptr);
+
+    // The next allocation takes the rewound id, and the table names it.
+    PointerValue z = allocInt("z");
+    EXPECT_EQ(z.prov.id, y.prov.id);
+    const Allocation *a = mm_->findAllocation(z.prov.id);
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->prefix, "z");
+    EXPECT_TRUE(a->alive);
+    EXPECT_EQ(a->base, z.address());
+    EXPECT_EQ(mm_->findAllocation(z.prov.id + 1), nullptr);
+    EXPECT_EQ(mm_->findAllocation(0), nullptr);
+    EXPECT_EQ(mm_->findAllocation(x.prov.id)->prefix, "x");
+    EXPECT_EQ(mm_->liveAllocationCount(), 2u);
+}
+
+TEST_F(MemoryModelTest, LoadOfNullRepresentationIsCanonicalNull)
+{
+    TypeRef pp = pointerTo(intType(IntKind::Int));
+    auto box = mm_->allocateObject("px", pp, false, false);
+    ASSERT_TRUE(box.ok());
+    Capability null_cap = Capability::null(mm_->arch());
+
+    // A stored null pointer, and all-zero bytes written by memset.
+    ASSERT_TRUE(mm_->store({}, pp, box.value(),
+                           MemValue(PointerValue::null(mm_->arch())))
+                    .ok());
+    for (int round = 0; round < 2; ++round) {
+        auto r = mm_->load({}, pp, box.value());
+        ASSERT_TRUE(r.ok()) << r.error().str();
+        const PointerValue &q = r.value().asPointer();
+        EXPECT_TRUE(q.isNull());
+        EXPECT_TRUE(q.prov.isEmpty());
+        ASSERT_TRUE(q.cap);
+        EXPECT_TRUE(q.cap->equalExact(null_cap));
+        EXPECT_FALSE(q.cap->ghost().any());
+        ASSERT_TRUE(mm_->memsetOp({}, box.value(), 0,
+                                  mm_->layout().sizeOf(pp))
+                        .ok());
+    }
+}
+
+TEST_F(MemoryModelTest, LoadOfFunctionSentryIsFunctionPointer)
+{
+    PointerValue f = mm_->makeFunctionPointer(3, "f");
+    TypeRef fp = pointerTo(intType(IntKind::Int));
+    auto box = mm_->allocateObject("pf", fp, false, false);
+    ASSERT_TRUE(box.ok());
+    ASSERT_TRUE(mm_->store({}, fp, box.value(), MemValue(f)).ok());
+    auto r = mm_->load({}, fp, box.value());
+    ASSERT_TRUE(r.ok()) << r.error().str();
+    const PointerValue &g = r.value().asPointer();
+    EXPECT_EQ(g.kind, PointerValue::Kind::Func);
+    EXPECT_EQ(g.funcId, 3u);
+    EXPECT_TRUE(g.prov.isEmpty());
+    ASSERT_TRUE(g.cap);
+    EXPECT_TRUE(g.cap->isSentry());
+    EXPECT_TRUE(g.cap->equalExact(*f.cap));
+}
+
 } // namespace
 } // namespace cherisem::mem
