@@ -48,21 +48,6 @@ using ctype::Type;
 using ctype::TypeRef;
 
 const Allocation *
-MemoryModel::cachedAlloc(AllocId id) const
-{
-    if (id == fastAllocId_ && fastAlloc_)
-        return fastAlloc_;
-    auto it = allocations_.find(id);
-    if (it == allocations_.end())
-        return nullptr;
-    // Node pointers into allocations_ are stable: entries are only
-    // ever inserted (kill() flips `alive` in place).
-    fastAllocId_ = id;
-    fastAlloc_ = &it->second;
-    return fastAlloc_;
-}
-
-const Allocation *
 MemoryModel::fastGuard(const PointerValue &p, uint64_t n, unsigned align,
                        bool want_store)
 {
@@ -88,7 +73,7 @@ MemoryModel::fastGuard(const PointerValue &p, uint64_t n, unsigned align,
     // iotas need the full disambiguation machinery.
     if (!p.prov.isAlloc())
         return nullptr;
-    const Allocation *a = cachedAlloc(p.prov.id);
+    const Allocation *a = allocAt(p.prov.id);
     if (!a || !a->alive || !a->containsFootprint(addr, n))
         return nullptr;
     // Fast stores are never initializing stores, so read-only objects

@@ -427,22 +427,32 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
       }
 
       case Type::Kind::Pointer: {
-        Provenance prov;
-        std::optional<Capability> c = abstCap(addr, n, prov);
-        if (!c) {
-            return Failure::undefined(Ub::ReadUninitialized, loc,
-                                      "at " + hexStr(addr));
+        // Built inside the result; every return is `out` (NRVO).
+        MemResult<MemValue> out(std::in_place,
+                                std::in_place_type<PointerValue>);
+        PointerValue &pv = out.value().asPointer();
+        pv.cap = abstCap(addr, n, pv.prov);
+        if (!pv.cap) {
+            out = Failure::undefined(Ub::ReadUninitialized, loc,
+                                     "at " + hexStr(addr));
+            return out;
         }
-        if (!c->tag() && !c->ghost().any() && c->address() == 0 &&
-            prov.isEmpty()) {
-            return MemValue(PointerValue::null(arch()));
+        const Capability &c = *pv.cap;
+        if (!c.tag() && !c.ghost().any() && c.address() == 0 &&
+            pv.prov.isEmpty()) {
+            pv.cap = Capability::null(arch()); // kind is Null already
+            return out;
         }
+        pv.kind = PointerValue::Kind::Object;
         // isSentry() first: an otype compare; functionAt() is a map find.
-        if (c->isSentry()) {
-            if (std::optional<uint32_t> func = functionAt(c->address()))
-                return MemValue(PointerValue::function(*func, *c));
+        if (c.isSentry()) {
+            if (std::optional<uint32_t> func = functionAt(c.address())) {
+                pv.kind = PointerValue::Kind::Func;
+                pv.funcId = *func;
+                pv.prov = Provenance::empty();
+            }
         }
-        return MemValue(PointerValue::object(prov, *c));
+        return out;
       }
 
       case Type::Kind::Array: {

@@ -87,7 +87,6 @@ MemoryModel::snapshot() const
     snap->iotas = iotas_;
     if (revoker_)
         snap->revoke = revoker_->capture();
-    snap->nextAlloc = nextAlloc_;
     snap->globalPtr = globalPtr_;
     snap->stackPtr = stackPtr_;
     snap->codePtr = codePtr_;
@@ -106,17 +105,12 @@ MemoryModel::restore(const MemorySnapshotPtr &snap)
     iotas_ = snap->iotas;
     if (revoker_ && snap->revoke)
         revoker_->restoreFrom(*snap->revoke);
-    nextAlloc_ = snap->nextAlloc;
     globalPtr_ = snap->globalPtr;
     stackPtr_ = snap->stackPtr;
     codePtr_ = snap->codePtr;
     heap_->restore(snap->heap);
     functionsByAddr_ = snap->functionsByAddr;
     stats_ = snap->stats;
-    // The one-entry allocation cache holds a node pointer into the
-    // *previous* allocations_ map; map assignment invalidated it.
-    fastAllocId_ = 0;
-    fastAlloc_ = nullptr;
 }
 
 uint64_t
@@ -132,9 +126,8 @@ MemoryModel::alignUp(uint64_t v, uint64_t a) const
 MemResult<PointerValue>
 MemoryModel::allocate(const std::string &prefix, uint64_t size,
                       unsigned align, AllocKind kind, bool read_only,
-                      bool is_static, const TypeRef &ty)
+                      bool is_static)
 {
-    (void)ty;
     const cap::CapArch &a = arch();
     // Representability padding (section 3.2, last paragraph): the
     // allocator aligns and pads so the allocation's capability has
@@ -200,15 +193,14 @@ MemoryModel::allocate(const std::string &prefix, uint64_t size,
         break;
     }
 
-    AllocId id = nextAlloc_++;
-    Allocation alloc;
+    Allocation &alloc = allocations_.emplace_back();
+    AllocId id = allocations_.size();
     alloc.base = base;
     alloc.size = size;
     alloc.align = static_cast<unsigned>(eff_align);
     alloc.kind = kind;
     alloc.prefix = prefix;
     alloc.readOnly = read_only;
-    allocations_[id] = alloc;
     ++stats_.allocations;
     if (tracer_.enabled()) {
         tracer_.emit({.kind = obs::EventKind::Alloc,
@@ -235,7 +227,7 @@ MemoryModel::allocateObject(const std::string &prefix, const TypeRef &ty,
     uint64_t size = layout_.sizeOf(ty);
     unsigned align = layout_.alignOf(ty);
     return allocate(prefix, size, align, AllocKind::Object, read_only,
-                    is_static, ty);
+                    is_static);
 }
 
 MemResult<PointerValue>
@@ -244,7 +236,7 @@ MemoryModel::allocateRegion(const std::string &prefix, uint64_t size,
 {
     return allocate(prefix, size,
                     std::max(align, arch().capSize()),
-                    AllocKind::Region, false, false, nullptr);
+                    AllocKind::Region, false, false);
 }
 
 MemResult<Unit>
@@ -266,17 +258,17 @@ MemoryModel::kill(const SourceLoc &loc, bool dyn, const PointerValue &p)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "pointer has no provenance");
     }
-    auto it = allocations_.find(*id);
-    if (it == allocations_.end()) {
+    Allocation *found = allocAt(*id);
+    if (!found) {
         // restore() rewinds the allocation table; a handle minted
-        // after the snapshot then names no node at all.  Observably
+        // after the snapshot then names no entry at all.  Observably
         // that allocation no longer exists, so report the same
         // verdict the dead-allocation branch below would.
         return Failure::undefined(dyn ? Ub::DoubleFree
                                       : Ub::AccessDeadAllocation,
                                   loc, "allocation no longer exists");
     }
-    Allocation &alloc = it->second;
+    Allocation &alloc = *found;
     if (!alloc.alive) {
         return Failure::undefined(dyn ? Ub::DoubleFree
                                       : Ub::AccessDeadAllocation,
@@ -343,30 +335,28 @@ MemoryModel::reallocRegion(const SourceLoc &loc, const PointerValue &p,
     if (!id)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "realloc of unprovenanced pointer");
-    auto it = allocations_.find(*id);
-    if (it == allocations_.end()) {
-        // See kill(): restore() can erase nodes for post-snapshot
-        // allocations, and a stale handle behaves like a dead one.
-        return Failure::undefined(Ub::DoubleFree, loc, "realloc");
-    }
+    // See kill(): restore() can drop post-snapshot allocations from
+    // the table, and a stale handle behaves like a dead one.
     // Validate the old pointer fully *before* allocating the new
     // region: kill() would re-check all of this, but only after the
     // new allocation and the copy had already happened — leaking the
     // new region (and its Alloc/Load/Store trace events) on every UB
     // path.
-    if (!it->second.alive)
+    const Allocation *old = allocAt(*id);
+    if (!old || !old->alive)
         return Failure::undefined(Ub::DoubleFree, loc, "realloc");
-    if (it->second.kind != AllocKind::Region)
+    if (old->kind != AllocKind::Region)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "not a heap allocation");
-    if (p.address() != it->second.base)
+    if (p.address() != old->base)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "not the start of the allocation");
     if (p.cap && !p.cap->tag())
         return Failure::undefined(Ub::CheriInvalidCap, loc,
                                   "realloc via untagged capability");
-    uint64_t old_size = it->second.size;
-    uint64_t old_base = it->second.base;
+    // Copied: the allocation below invalidates `old`.
+    uint64_t old_size = old->size;
+    uint64_t old_base = old->base;
 
     CHERISEM_TRY(np, allocateRegion("realloc", new_size,
                                     arch().capSize()));
@@ -407,20 +397,20 @@ MemoryModel::reallocRegion(const SourceLoc &loc, const PointerValue &p,
 void
 MemoryModel::exposeAllocation(AllocId id)
 {
-    auto it = allocations_.find(id);
-    if (it == allocations_.end())
+    Allocation *alloc = allocAt(id);
+    if (!alloc)
         return;
     // Witness only the false->true transition so the event stream
     // stays independent of how often an already-exposed allocation is
     // re-exposed.
-    if (!it->second.exposed && tracer_.enabled()) {
+    if (!alloc->exposed && tracer_.enabled()) {
         tracer_.emit({.kind = obs::EventKind::Expose,
-                      .addr = it->second.base,
-                      .size = it->second.size,
+                      .addr = alloc->base,
+                      .size = alloc->size,
                       .a = id,
-                      .label = it->second.prefix});
+                      .label = alloc->prefix});
     }
-    it->second.exposed = true;
+    alloc->exposed = true;
 }
 
 void
@@ -445,12 +435,13 @@ MemoryModel::attachProvenance(uint64_t a)
     // first-byte boundary) produce a symbolic iota.
     AllocId found[2];
     int nfound = 0;
-    for (const auto &[id, alloc] : allocations_) {
+    for (size_t i = 0; i < allocations_.size(); ++i) {
+        const Allocation &alloc = allocations_[i];
         if (!alloc.alive || !alloc.exposed)
             continue;
         if (alloc.containsForArith(a)) {
             if (nfound < 2)
-                found[nfound] = id;
+                found[nfound] = i + 1;
             ++nfound;
         }
     }
@@ -492,16 +483,17 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
         // overlap, so when the pointer's own allocation is live and
         // contains the footprint it is the one the scan would find.
         if (prov.isAlloc()) {
-            const Allocation *own = cachedAlloc(prov.id);
+            const Allocation *own = allocAt(prov.id);
             if (own && own->alive && own->containsFootprint(addr, n)) {
                 info.alloc = prov.id;
                 info.haveAlloc = true;
                 return info;
             }
         }
-        for (const auto &[id, alloc] : allocations_) {
+        for (size_t i = 0; i < allocations_.size(); ++i) {
+            const Allocation &alloc = allocations_[i];
             if (alloc.alive && alloc.containsFootprint(addr, n)) {
-                info.alloc = id;
+                info.alloc = i + 1;
                 info.haveAlloc = true;
                 break;
             }
@@ -528,10 +520,12 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
             // shared liveness check below then raises the precise
             // AccessDeadAllocation — not a silent resolution to the
             // surviving neighbour, nor a generic bounds failure.
-            const Allocation &a1 = allocations_.at(first);
-            const Allocation &a2 = allocations_.at(*second);
-            bool in1 = a1.containsFootprint(addr, n);
-            bool in2 = a2.containsFootprint(addr, n);
+            const Allocation *a1 = allocAt(first);
+            const Allocation *a2 = allocAt(*second);
+            if (!a1 || !a2)
+                return Failure::internal("unknown allocation", loc);
+            bool in1 = a1->containsFootprint(addr, n);
+            bool in2 = a2->containsFootprint(addr, n);
             if (in1 && in2) {
                 return Failure::undefined(
                     Ub::AccessOutOfBounds, loc,
@@ -548,20 +542,19 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
         }
     }
 
-    auto it = allocations_.find(id);
-    if (it == allocations_.end())
+    const Allocation *alloc = allocAt(id);
+    if (!alloc)
         return Failure::internal("unknown allocation", loc);
-    const Allocation &alloc = it->second;
-    if (!alloc.alive) {
+    if (!alloc->alive) {
         return Failure::undefined(Ub::AccessDeadAllocation, loc,
-                                  alloc.prefix);
+                                  alloc->prefix);
     }
-    if (!alloc.containsFootprint(addr, n)) {
+    if (!alloc->containsFootprint(addr, n)) {
         return Failure::undefined(
             Ub::AccessOutOfBounds, loc,
-            alloc.prefix + ": " + hexStr(addr) + "+" +
-                std::to_string(n) + " outside [" + hexStr(alloc.base) +
-                "," + hexStr(alloc.base + alloc.size) + ")");
+            alloc->prefix + ": " + hexStr(addr) + "+" +
+                std::to_string(n) + " outside [" + hexStr(alloc->base) +
+                "," + hexStr(alloc->base + alloc->size) + ")");
     }
     info.alloc = id;
     info.haveAlloc = true;
@@ -614,10 +607,11 @@ MemoryModel::accessCheck(const SourceLoc &loc, const PointerValue &p,
 
     CHERISEM_TRY(info,
                  resolveForAccess(loc, p.prov, c.address(), n));
-    if (want_store && !initializing && info.haveAlloc &&
-        allocations_.at(info.alloc).readOnly) {
-        return Failure::undefined(Ub::ModifyingConstObject, loc,
-                                  allocations_.at(info.alloc).prefix);
+    if (want_store && !initializing && info.haveAlloc) {
+        const Allocation &alloc = *allocAt(info.alloc);
+        if (alloc.readOnly)
+            return Failure::undefined(Ub::ModifyingConstObject, loc,
+                                      alloc.prefix);
     }
     return info;
 }
@@ -653,13 +647,15 @@ MemoryModel::arrayShift(const SourceLoc &loc, const PointerValue &p,
     if (config_.strictPtrArith && config_.checkProvenance) {
         std::optional<AllocId> id = peekProvenance(p.prov);
         if (id) {
-            const Allocation &alloc = allocations_.at(*id);
-            if (!alloc.containsForArith(new_addr)) {
+            const Allocation *alloc = allocAt(*id);
+            if (!alloc)
+                return Failure::internal("unknown allocation", loc);
+            if (!alloc->containsForArith(new_addr)) {
                 return Failure::undefined(
                     Ub::OutOfBoundsPtrArith, loc,
-                    alloc.prefix + ": " + hexStr(new_addr) +
-                        " outside [" + hexStr(alloc.base) + "," +
-                        hexStr(alloc.base + alloc.size) + "]");
+                    alloc->prefix + ": " + hexStr(new_addr) +
+                        " outside [" + hexStr(alloc->base) + "," +
+                        hexStr(alloc->base + alloc->size) + "]");
             }
         }
     }
@@ -847,20 +843,20 @@ MemoryModel::makeFunctionPointer(uint32_t func_id,
         if (id == func_id) {
             auto it = std::find_if(
                 allocations_.begin(), allocations_.end(),
-                [&](const auto &kv) {
-                    return kv.second.kind == AllocKind::Code &&
-                        kv.second.base == addr;
+                [&](const Allocation &alloc) {
+                    return alloc.kind == AllocKind::Code &&
+                        alloc.base == addr;
                 });
             assert(it != allocations_.end());
             Capability c = Capability::make(
-                arch(), addr, uint128(addr) + it->second.size,
+                arch(), addr, uint128(addr) + it->size,
                 PermSet::code());
             return PointerValue::function(
                 func_id, c.sealed(cap::OTYPE_SENTRY));
         }
     }
     MemResult<PointerValue> p =
-        allocate(name, 16, 16, AllocKind::Code, true, true, nullptr);
+        allocate(name, 16, 16, AllocKind::Code, true, true);
     assert(p.ok());
     uint64_t addr = p.value().address();
     functionsByAddr_[addr] = func_id;
@@ -881,13 +877,6 @@ MemoryModel::functionAt(uint64_t addr) const
 // Introspection.
 // ---------------------------------------------------------------------
 
-const Allocation *
-MemoryModel::findAllocation(AllocId id) const
-{
-    auto it = allocations_.find(id);
-    return it == allocations_.end() ? nullptr : &it->second;
-}
-
 std::optional<uint8_t>
 MemoryModel::peekByte(uint64_t addr) const
 {
@@ -906,12 +895,8 @@ MemoryModel::peekCapMeta(uint64_t addr) const
 size_t
 MemoryModel::liveAllocationCount() const
 {
-    size_t n = 0;
-    for (const auto &[id, alloc] : allocations_) {
-        if (alloc.alive)
-            ++n;
-    }
-    return n;
+    return std::count_if(allocations_.begin(), allocations_.end(),
+                         [](const Allocation &a) { return a.alive; });
 }
 
 } // namespace cherisem::mem

@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cap/capability.h"
@@ -52,7 +53,7 @@ namespace cherisem::mem {
 /** Kinds of allocation, for diagnostics and free() checking. */
 enum class AllocKind { Object, Region, Code };
 
-/** One entry of the A map. */
+/** One entry of the A table. */
 struct Allocation
 {
     uint64_t base = 0;
@@ -119,11 +120,10 @@ struct MemStats
 struct MemorySnapshot
 {
     StoreSnapshotPtr store;
-    std::map<AllocId, Allocation> allocations;
+    std::vector<Allocation> allocations; // A, by id - 1
     IotaTable iotas;
     /** Engaged iff the source model had a revocation engine. */
     std::optional<revoke::RevocationEngine::Snapshot> revoke;
-    AllocId nextAlloc = 1;
     uint64_t globalPtr = 0;
     uint64_t stackPtr = 0;
     uint64_t codePtr = 0;
@@ -359,7 +359,7 @@ class MemoryModel
 
     /// @name Introspection (tests, intrinsics, formatting).
     /// @{
-    const Allocation *findAllocation(AllocId id) const;
+    const Allocation *findAllocation(AllocId id) const { return allocAt(id); }
     /** Resolve a (possibly iota) provenance to a concrete allocation
      *  without collapsing it; empty optional when unresolvable. */
     std::optional<AllocId> peekProvenance(const Provenance &p) const;
@@ -403,12 +403,17 @@ class MemoryModel
      *  path). */
     const Allocation *fastGuard(const PointerValue &p, uint64_t n,
                                 unsigned align, bool want_store);
-
-    /** One-entry allocation cache.  Safe because allocations_ entries
-     *  are never erased (kill() only flips `alive`), so node pointers
-     *  are stable for the lifetime of the model. */
-    const Allocation *cachedAlloc(AllocId id) const;
     /// @}
+    /** A's entry for @p id; null for id 0 or an id restore() rewound.
+     *  The pointer is invalidated by the next allocate(). */
+    const Allocation *allocAt(AllocId id) const
+    {
+        return id - 1 < allocations_.size() ? &allocations_[id - 1] : nullptr;
+    }
+    Allocation *allocAt(AllocId id)
+    {
+        return const_cast<Allocation *>(std::as_const(*this).allocAt(id));
+    }
 
     /** The paper's bounds_check + PNVI checks for an @p n byte access
      *  at @p p; @p want_store selects the permission/readonly checks;
@@ -471,8 +476,7 @@ class MemoryModel
     MemResult<PointerValue> allocate(const std::string &prefix,
                                      uint64_t size, unsigned align,
                                      AllocKind kind, bool read_only,
-                                     bool is_static,
-                                     const ctype::TypeRef &ty);
+                                     bool is_static);
 
     uint64_t alignUp(uint64_t v, uint64_t a) const;
 
@@ -482,13 +486,18 @@ class MemoryModel
     ctype::LayoutEngine layout_;
 
     std::unique_ptr<AbstractStore> store_;       // M = B x C
-    std::map<AllocId, Allocation> allocations_;  // A
+    /** A, indexed by id - 1: ids are dense from 1 (the next is
+     *  size() + 1) and never erased (kill() flips `alive`); restore()
+     *  truncates it, so rewound ids are reused.  allocate() appends,
+     *  invalidating pointers into it: reallocRegion() copies what it
+     *  needs first, makeFunctionPointer() ends its scan first, and no
+     *  other holder allocates. */
+    std::vector<Allocation> allocations_;
     IotaTable iotas_;                            // S
     /** Temporal-safety engine (src/revoke/); null when off.
      *  Declared after store_ — it holds a reference into it. */
     std::unique_ptr<revoke::RevocationEngine> revoker_;
 
-    AllocId nextAlloc_ = 1;
     uint64_t globalPtr_;
     uint64_t stackPtr_;
     uint64_t codePtr_;
@@ -507,9 +516,6 @@ class MemoryModel
     /** Mutable so stats() can mirror the store counters on read. */
     mutable MemStats stats_;
 
-    /** One-entry cache for cachedAlloc(). */
-    mutable AllocId fastAllocId_ = 0;
-    mutable const Allocation *fastAlloc_ = nullptr;
     /** store_ downcast when it is the (final) PagedStore, else null:
      *  lets the fast path call the inline scalar primitives directly
      *  instead of through the vtable. */
