@@ -464,8 +464,8 @@ Machine::storeInitializer(const SourceLoc &loc, const PointerValue &place,
                            ? std::min<size_t>(1, init.list.size())
                            : def.members.size();
         for (size_t i = 0; i < limit; ++i) {
-            ctype::FieldLoc fl = mm_.layout().fieldOf(
-                ty->tag, def.members[i].name);
+            ctype::FieldLoc fl = mm_.layout().fieldAt(
+                ty->tag, static_cast<uint32_t>(i));
             PointerValue mp = wplace;
             mp.cap = wplace.cap->withAddress(wplace.address() +
                                              fl.offset);
@@ -717,7 +717,7 @@ Machine::evalLValue(const Expr &e)
         ctype::TagId tag = e.isArrow
                                ? e.lhs->type->pointee->tag
                                : e.lhs->type->tag;
-        return take(mm_.memberShift(e.loc, base, tag, e.text));
+        return mm_.memberShift(base, tag, e.slot);
       }
       default:
         break;

@@ -148,12 +148,18 @@ FieldLoc
 LayoutEngine::fieldOf(TagId tag, const std::string &member) const
 {
     const TagDef &def = tags_->get(tag);
-    const TagFacts &f = tagFacts(tag);
     for (size_t i = 0; i < def.members.size(); ++i) {
         if (def.members[i].name == member)
-            return FieldLoc{f.offsets[i], &def.members[i].type, true};
+            return fieldAt(tag, static_cast<uint32_t>(i));
     }
     return FieldLoc{};
+}
+
+FieldLoc
+LayoutEngine::fieldAt(TagId tag, uint32_t index) const
+{
+    return FieldLoc{tagFacts(tag).offsets[index],
+                    &tags_->get(tag).members[index].type, true, index};
 }
 
 } // namespace cherisem::ctype

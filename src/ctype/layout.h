@@ -45,6 +45,8 @@ struct FieldLoc
     uint64_t offset = 0;
     const TypeRef *type = nullptr;
     bool found = false;
+    /** Position in the tag's member list (fieldAt's argument). */
+    uint32_t index = 0;
 };
 
 /** Number of IntKind enumerators (the per-kind table size). */
@@ -120,6 +122,9 @@ class LayoutEngine
     }
     /** Locate @p member in struct/union @p tag (search is flat). */
     FieldLoc fieldOf(TagId tag, const std::string &member) const;
+    /** The member at @p index of struct/union @p tag, which must
+     *  exist (sema records it as FieldLoc::index). */
+    FieldLoc fieldAt(TagId tag, uint32_t index) const;
 
     const MachineLayout &machine() const { return machine_; }
     const TagTable *tags() const { return tags_; }

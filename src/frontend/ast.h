@@ -111,7 +111,8 @@ struct Expr
     DerivSource deriv = DerivSource::None;
     /** Resolved identifier (Ident); see NameKind for what slot
      *  indexes.  For StringLit, slot is the literal's program-wide
-     *  index, which gives each literal expression its one object. */
+     *  index, which gives each literal expression its one object.
+     *  For Member, it is the member's index in its struct/union. */
     NameKind nameKind = NameKind::None;
     uint32_t slot = 0;
     /** Resolved enumerator constant (Ident naming an enum value). */

@@ -269,13 +269,11 @@ MemoryModel::reprValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty,
         const auto *sv = std::get_if<StructValue>(&v.v);
         if (!sv)
             return Failure::internal("repr: struct expected", loc);
-        for (const auto &[name, mv] : sv->members) {
-            ctype::FieldLoc fl = layout_.fieldOf(ty->tag, name);
-            if (!fl.found)
-                return Failure::internal("repr: no member " + name,
-                                         loc);
+        // abst() builds every StructValue, in definition order.
+        for (uint32_t i = 0; i < sv->members.size(); ++i) {
+            ctype::FieldLoc fl = layout_.fieldAt(ty->tag, i);
             CHERISEM_TRYV(reprValue(loc, addr + fl.offset, *fl.type,
-                                    mv));
+                                    sv->members[i].second));
         }
         return Unit{};
       }
@@ -489,10 +487,10 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
         }
         StructValue sv;
         sv.tag = ty->tag;
-        for (const ctype::Member &m : def.members) {
-            ctype::FieldLoc fl = layout_.fieldOf(ty->tag, m.name);
+        for (uint32_t i = 0; i < def.members.size(); ++i) {
+            ctype::FieldLoc fl = layout_.fieldAt(ty->tag, i);
             CHERISEM_TRY(mv, abstValue(loc, addr + fl.offset, *fl.type));
-            sv.members.emplace_back(m.name, std::move(mv));
+            sv.members.emplace_back(def.members[i].name, std::move(mv));
         }
         return MemValue(std::move(sv));
       }

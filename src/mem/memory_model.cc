@@ -668,13 +668,11 @@ MemoryModel::arrayShift(const SourceLoc &loc, const PointerValue &p,
     return out;
 }
 
-MemResult<PointerValue>
-MemoryModel::memberShift(const SourceLoc &loc, const PointerValue &p,
-                         ctype::TagId tag, const std::string &member)
+PointerValue
+MemoryModel::memberShift(const PointerValue &p, ctype::TagId tag,
+                         uint32_t index) const
 {
-    ctype::FieldLoc fl = layout_.fieldOf(tag, member);
-    if (!fl.found)
-        return Failure::internal("no such member: " + member, loc);
+    ctype::FieldLoc fl = layout_.fieldAt(tag, index);
     if (p.isNull()) {
         // offsetof-style computation on null: produce a null-derived
         // pointer at the offset (used by the offsetof builtin).

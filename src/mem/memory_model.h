@@ -290,11 +290,10 @@ class MemoryModel
                                        const PointerValue &p,
                                        const ctype::TypeRef &elem,
                                        __int128 idx);
-    /** &(p->member): offset within a struct/union. */
-    MemResult<PointerValue> memberShift(const SourceLoc &loc,
-                                        const PointerValue &p,
-                                        ctype::TagId tag,
-                                        const std::string &member);
+    /** &(p->member): offset within a struct/union; @p index is the
+     *  member's position in the definition. */
+    PointerValue memberShift(const PointerValue &p, ctype::TagId tag,
+                             uint32_t index) const;
     /** Pointer equality: addresses only (section 3.6). */
     MemResult<bool> ptrEq(const PointerValue &a, const PointerValue &b);
     /** Relational comparison; requires same provenance. */

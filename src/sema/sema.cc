@@ -401,6 +401,7 @@ class Analyzer
             if (!fl.found)
                 fail(e->loc, "no member named '" + e->text + "'");
             e->type = *fl.type;
+            e->slot = fl.index;
             e->isLValue = true;
             return;
           }
