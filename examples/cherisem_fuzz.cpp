@@ -219,7 +219,6 @@ main(int argc, char **argv)
             fopts.variants = forkVariants;
             if (runner.profiles.size() == 1)
                 fopts.profile = runner.profiles[0];
-            fopts.ringCapacity = runner.ringCapacity;
             out.findings =
                 fuzz::runForkCase(seed, out.source, fopts, &out.fork);
         } else {
@@ -244,7 +243,6 @@ main(int argc, char **argv)
                         fopts.variants = forkVariants;
                         if (runner.profiles.size() == 1)
                             fopts.profile = runner.profiles[0];
-                        fopts.ringCapacity = runner.ringCapacity;
                         cs = fuzz::runForkCase(seed, cand, fopts,
                                                nullptr);
                     } else {

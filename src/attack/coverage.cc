@@ -39,8 +39,7 @@ readFile(const std::string &path, bool *ok)
 CoverageCell
 runCell(const std::string &attackId, const std::string &column,
         const std::string &source, const std::string &path,
-        driver::Profile profile, const Expectation &exp,
-        size_t ringCapacity)
+        driver::Profile profile, const Expectation &exp)
 {
     CoverageCell cell;
     cell.attackId = attackId;
@@ -48,7 +47,7 @@ runCell(const std::string &attackId, const std::string &column,
     cell.expected = verdictString(exp.verdict);
     cell.detected = exp.detected();
 
-    obs::RingBufferSink ring(ringCapacity);
+    obs::RingBufferSink ring;
     profile.memConfig.traceSink = &ring;
     driver::RunResult res = driver::runSource(source, profile, path);
     cell.actual = res.summary();
@@ -177,14 +176,13 @@ runCoverage(const CoverageOptions &opts)
 
         for (const GridPoint &gp : grid)
             record(runCell(p.id, gp.name, source, path, gp.profile,
-                           p.forPolicy(gp.policy),
-                           opts.ringCapacity));
+                           p.forPolicy(gp.policy)));
         if (opts.sentinels) {
             record(runCell(p.id, "reference", source, path, ref,
-                           p.reference, opts.ringCapacity));
+                           p.reference));
             if (sub)
                 record(runCell(p.id, "subobject", source, path, *sub,
-                               p.subobject, opts.ringCapacity));
+                               p.subobject));
         }
     }
 

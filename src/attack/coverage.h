@@ -85,8 +85,6 @@ struct CoverageOptions
     /** Suite directory holding the catalog's .c files; "" = the
      *  baked-in tests/suite. */
     std::string suiteDir;
-    /** Trace ring capacity per run. */
-    size_t ringCapacity = 65536;
     /** Also run the reference / subobject sentinel columns. */
     bool sentinels = true;
 };

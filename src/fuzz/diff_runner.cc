@@ -124,7 +124,7 @@ runCase(uint64_t seed, const std::string &source,
     // Backend grid: Map vs Paged per profile.
     for (const driver::Profile *p : grid) {
         obs::DifferentialResult r =
-            obs::diffStoreBackends(source, *p, opts.ringCapacity);
+            obs::diffStoreBackends(source, *p);
         if (isCrash(r.left) || isCrash(r.right)) {
             out.push_back({Divergence::Kind::Crash, seed, p->name,
                            r.left.summary() + " | " +
@@ -154,7 +154,7 @@ runCase(uint64_t seed, const std::string &source,
             if (p->name == ref.name)
                 continue;
             obs::DifferentialResult r = obs::diffProfiles(
-                source, ref, *p, dopts, opts.ringCapacity);
+                source, ref, *p, dopts);
             if (isCrash(r.left) || isCrash(r.right)) {
                 out.push_back({Divergence::Kind::Crash, seed,
                                ref.name + "|" + p->name,
@@ -194,7 +194,7 @@ runCase(uint64_t seed, const std::string &source,
                     a->memConfig.arch != b->memConfig.arch)
                     continue;
                 obs::DifferentialResult r = obs::diffProfiles(
-                    source, *a, *b, dopts, opts.ringCapacity);
+                    source, *a, *b, dopts);
                 if (isCrash(r.left) || isCrash(r.right)) {
                     out.push_back({Divergence::Kind::Crash, seed,
                                    a->name + "|" + b->name,
@@ -238,7 +238,7 @@ runCase(uint64_t seed, const std::string &source,
                 mem::HeapAllocatorKind::Sizeclass;
             std::string where = p->name + ":firstfit|sizeclass";
             obs::DifferentialResult r = obs::diffProfiles(
-                source, ff, sc, dopts, opts.ringCapacity);
+                source, ff, sc, dopts);
             if (isCrash(r.left) || isCrash(r.right)) {
                 out.push_back({Divergence::Kind::Crash, seed, where,
                                r.left.summary() + " | " +

@@ -87,7 +87,6 @@ struct RunnerOptions
      *  than Exit, on any profile, is a hard finding (the generator
      *  or the semantics is wrong).  Set for the UB-free corpus. */
     bool requireExit = false;
-    size_t ringCapacity = 1 << 17;
 };
 
 /** Run one generated program across the grid; returns all findings

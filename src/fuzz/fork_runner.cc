@@ -9,6 +9,7 @@
 
 #include "corelang/machine.h"
 #include "driver/interpreter.h"
+#include "obs/differential.h"
 #include "obs/sinks.h"
 #include "obs/trace_diff.h"
 
@@ -58,7 +59,7 @@ runForkCase(uint64_t seed, const std::string &source,
 
     // Build: globals + __prelude() once, captured at the quiescent
     // point.  The recorded events are the cold stream's prefix.
-    obs::RingBufferSink preludeRing(opts.ringCapacity);
+    obs::RingBufferSink preludeRing(obs::kDiffRingCapacity);
     corelang::EvalOptions bopts = eopts;
     bopts.memConfig.traceSink = &preludeRing;
     corelang::Machine builder(prog, bopts);
@@ -70,7 +71,7 @@ runForkCase(uint64_t seed, const std::string &source,
 
     for (unsigned k = 0; k < opts.variants; ++k) {
         // Forked run: restore, replay the prefix, poke, run main.
-        obs::RingBufferSink forkRing(opts.ringCapacity);
+        obs::RingBufferSink forkRing(obs::kDiffRingCapacity);
         corelang::EvalOptions fopts = eopts;
         fopts.memConfig.traceSink = &forkRing;
         uint64_t t0 = nowNs();
@@ -83,7 +84,7 @@ runForkCase(uint64_t seed, const std::string &source,
 
         // Cold oracle: fresh machine, full prelude, identical poke
         // at the identical quiescent point.
-        obs::RingBufferSink coldRing(opts.ringCapacity);
+        obs::RingBufferSink coldRing(obs::kDiffRingCapacity);
         corelang::EvalOptions copts = eopts;
         copts.memConfig.traceSink = &coldRing;
         Outcome coldOut;

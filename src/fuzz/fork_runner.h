@@ -38,7 +38,6 @@ struct ForkOptions
     std::string profile;
     /** Variants forked from one post-prelude snapshot. */
     unsigned variants = 8;
-    size_t ringCapacity = 1 << 17;
 };
 
 struct ForkStats

@@ -20,7 +20,7 @@ tracedRun(const std::string &source, driver::Profile profile,
 
 DifferentialResult
 diffStoreBackends(const std::string &source,
-                  const driver::Profile &profile, size_t ringCapacity)
+                  const driver::Profile &profile)
 {
     DifferentialResult res;
 
@@ -29,7 +29,7 @@ diffStoreBackends(const std::string &source,
     driver::Profile paged = profile;
     paged.memConfig.storeBackend = mem::StoreBackend::Paged;
 
-    RingBufferSink lring(ringCapacity), rring(ringCapacity);
+    RingBufferSink lring(kDiffRingCapacity), rring(kDiffRingCapacity);
     std::vector<TraceEvent> l =
         tracedRun(source, map, lring, &res.left);
     std::vector<TraceEvent> r =
@@ -48,12 +48,11 @@ diffStoreBackends(const std::string &source,
 
 DifferentialResult
 diffProfiles(const std::string &source, const driver::Profile &a,
-             const driver::Profile &b, const DiffOptions &opts,
-             size_t ringCapacity)
+             const driver::Profile &b, const DiffOptions &opts)
 {
     DifferentialResult res;
 
-    RingBufferSink lring(ringCapacity), rring(ringCapacity);
+    RingBufferSink lring(kDiffRingCapacity), rring(kDiffRingCapacity);
     std::vector<TraceEvent> l = tracedRun(source, a, lring, &res.left);
     std::vector<TraceEvent> r = tracedRun(source, b, rring, &res.right);
 

@@ -26,6 +26,10 @@
 
 namespace cherisem::obs {
 
+/** Events each traced run of a differential check retains: a longer
+ *  stream truncates the comparison. */
+constexpr size_t kDiffRingCapacity = 1 << 17;
+
 /** A two-run comparison: both outcomes plus the stream diff. */
 struct DifferentialResult
 {
@@ -54,8 +58,7 @@ struct DifferentialResult
  * must agree bit-for-bit).
  */
 DifferentialResult diffStoreBackends(const std::string &source,
-                                     const driver::Profile &profile,
-                                     size_t ringCapacity = 1 << 17);
+                                     const driver::Profile &profile);
 
 /**
  * Run @p source under two implementation profiles and diff the
@@ -65,8 +68,7 @@ DifferentialResult diffStoreBackends(const std::string &source,
 DifferentialResult diffProfiles(const std::string &source,
                                 const driver::Profile &a,
                                 const driver::Profile &b,
-                                const DiffOptions &opts,
-                                size_t ringCapacity = 1 << 17);
+                                const DiffOptions &opts);
 
 } // namespace cherisem::obs
 

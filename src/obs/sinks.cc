@@ -206,22 +206,22 @@ ChromeTraceSink::flush()
 // DigestSink.
 // ---------------------------------------------------------------------
 
-uint64_t
-DigestSink::fold(uint64_t state, const TraceEvent &e, std::string &line)
+void
+DigestSink::write(const TraceEvent &e)
 {
-    line.clear();
-    appendEventJson(line, e);
-    line += '\n';
-    return fnv1a(line.data(), line.size(), state);
+    line_.clear();
+    appendEventJson(line_, e);
+    line_ += '\n';
+    state_ = fnv1a(line_.data(), line_.size(), state_);
 }
 
 uint64_t
-DigestSink::finish(uint64_t state, uint64_t dropped)
+DigestSink::digest() const
 {
-    // A wrapped ring digests only the retained suffix; folding the
-    // drop count keeps a truncated stream from colliding with a
-    // complete one.
-    return fnv1a(&dropped, sizeof dropped, state);
+    // The 8 bytes once counted the events a ring dropped; they stay,
+    // as zeros, so that every digest keeps its value.
+    const uint64_t zero = 0;
+    return fnv1a(&zero, sizeof zero, state_);
 }
 
 // ---------------------------------------------------------------------

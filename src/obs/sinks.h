@@ -122,10 +122,10 @@ class ChromeTraceSink : public TraceSink
 
 /**
  * The witness digest of a stream: FNV-1a over each event's
- * renderEventJson() line plus "\n", then the 8-byte count of leading
- * events a ring dropped (0 for a whole stream).  The sink folds each
- * event as it is emitted and keeps only the running state, so a
- * stream of any length costs one line buffer.
+ * renderEventJson() line plus "\n", for every event, then 8 zero
+ * bytes.  The sink folds each event as it is emitted and keeps only
+ * the running state, so a stream of any length costs one line
+ * buffer.
  *
  * A resumed sink continues a stream whose head was hashed earlier:
  * seeded with the head's event count and state, it numbers and folds
@@ -142,18 +142,11 @@ class DigestSink : public TraceSink
 
     /** The running state: the hash of every line so far. */
     uint64_t state() const { return state_; }
-
-    /** Fold @p e's line into @p state; @p line is scratch space. */
-    static uint64_t fold(uint64_t state, const TraceEvent &e,
-                         std::string &line);
-    /** Close a digest whose stream lost @p dropped leading events. */
-    static uint64_t finish(uint64_t state, uint64_t dropped);
+    /** The digest of the stream so far. */
+    uint64_t digest() const;
 
   protected:
-    void write(const TraceEvent &e) override
-    {
-        state_ = fold(state_, e, line_);
-    }
+    void write(const TraceEvent &e) override;
 
   private:
     uint64_t state_ = kFnv1aBasis;

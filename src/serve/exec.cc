@@ -9,32 +9,12 @@ namespace cherisem::serve {
 
 namespace {
 
-/** Same capacity as the fuzz differential harness: comfortably
- *  holds every suite program's full stream.  A longer stream's
- *  digest covers the retained suffix and the dropped count. */
-constexpr size_t kDigestRingCapacity = 1 << 17;
-
-uint64_t
-digestRing(const obs::RingBufferSink &ring)
-{
-    uint64_t h = kFnv1aBasis;
-    std::string line;
-    for (const obs::TraceEvent &e : ring.snapshot())
-        h = obs::DigestSink::fold(h, e, line);
-    return obs::DigestSink::finish(h, ring.dropped());
-}
-
-/** Close the digest @p sink streamed into @p result.  False when the
- *  stream outgrew the ring: its digest then covers a suffix, which
- *  only a cold run through the ring reproduces. */
-bool
+/** Close the digest @p sink streamed into @p result. */
+void
 finishDigest(const obs::DigestSink &sink, ExecResult *result)
 {
-    if (sink.emitted() > kDigestRingCapacity)
-        return false;
-    result->digest = obs::DigestSink::finish(sink.state(), 0);
+    result->digest = sink.digest();
     result->hasDigest = true;
-    return true;
 }
 
 /** The per-run evaluation options: profile defaults and request
@@ -96,9 +76,9 @@ runCompiled(const CompiledPtr &compiled,
 {
     corelang::EvalOptions opts = resolveOpts(profile, spec, limits);
 
-    obs::RingBufferSink ring(kDigestRingCapacity);
+    obs::DigestSink sink;
     if (spec.traceDigest)
-        opts.memConfig.traceSink = &ring;
+        opts.memConfig.traceSink = &sink;
 
     {
         obs::Tracer noTrace;
@@ -107,10 +87,8 @@ runCompiled(const CompiledPtr &compiled,
         corelang::Machine machine(compiled->prog, opts);
         result->outcome = machine.run();
     }
-    if (spec.traceDigest) {
-        result->digest = digestRing(ring);
-        result->hasDigest = true;
-    }
+    if (spec.traceDigest)
+        finishDigest(sink, result);
 }
 
 ExecResult
@@ -135,7 +113,7 @@ namespace {
  *  sink, and the sink's state at the fork point is the entry's digest
  *  prefix.  Either way main() goes on from the build's own machine,
  *  exactly as a cold run would. */
-bool
+void
 serveBuild(const CompiledPtr &compiled, const corelang::EvalOptions &opts,
            const RunSpec &spec, uint64_t warmKey, WarmCache *warm,
            ExecResult *result)
@@ -161,7 +139,8 @@ serveBuild(const CompiledPtr &compiled, const corelang::EvalOptions &opts,
     if (!exhausted && warm)
         warm->insert(warmKey, entry);
     result->outcome = built.terminal ? built.preludeOutcome : m.runMain();
-    return !spec.traceDigest || finishDigest(sink, result);
+    if (spec.traceDigest)
+        finishDigest(sink, result);
 }
 
 /** @p entry's digest prefix, computed on first use by one traced
@@ -190,8 +169,8 @@ digestPrefix(WarmServeEntry &entry, const CompiledPtr &compiled,
 /** A repeat request: restore the fork point and run main().  A digest
  *  streams main()'s events into a sink resumed from the entry's digest
  *  prefix: no prelude event is replayed, copied or rendered.  False
- *  when only a cold run gives the digest: a terminal entry, a prefix
- *  that could not be computed, or a stream that outgrew the ring. */
+ *  when only a cold run gives the digest: a terminal entry, or a
+ *  prefix that could not be computed. */
 bool
 serveHit(WarmServeEntry &entry, const CompiledPtr &compiled,
          const driver::Profile &profile, corelang::EvalOptions opts,
@@ -208,13 +187,12 @@ serveHit(WarmServeEntry &entry, const CompiledPtr &compiled,
         return false;
     std::optional<DigestPrefix> prefix =
         digestPrefix(entry, compiled, profile, limits);
-    if (!prefix || prefix->events > kDigestRingCapacity)
+    if (!prefix)
         return false;
     obs::DigestSink sink(prefix->events, prefix->state);
     opts.memConfig.traceSink = &sink;
     result->outcome = corelang::runWarm(compiled->prog, opts, warm);
-    if (!finishDigest(sink, result))
-        return false;
+    finishDigest(sink, result);
     result->warmHit = true;
     return true;
 }
@@ -239,10 +217,13 @@ runCompiledWarm(const CompiledPtr &compiled,
         obs::Tracer noTrace;
         obs::ScopedPhaseTimer t(&result->phases.evalNs, noTrace,
                                 "evaluate");
-        served = entry ? serveHit(*entry, compiled, profile, opts, spec,
-                                  limits, result)
-                       : serveBuild(compiled, opts, spec, warmKey, warm,
-                                    result);
+        if (entry) {
+            served = serveHit(*entry, compiled, profile, opts, spec,
+                              limits, result);
+        } else {
+            serveBuild(compiled, opts, spec, warmKey, warm, result);
+            served = true;
+        }
     }
     if (!served)
         runCompiled(compiled, profile, spec, limits, result);

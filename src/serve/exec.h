@@ -5,10 +5,10 @@
  * The front half (driver::compile()) is looked up in / inserted into
  * the FrontCache; evaluation always runs fresh with its own
  * MemoryModel, optional per-request step budget, wall-clock deadline
- * and cooperative cancel flag, and an optional private
- * RingBufferSink whose event stream is folded into a FNV-1a witness
- * digest.  Identical requests therefore produce byte-identical
- * ExecResults whether they hit or miss the cache, run
+ * and cooperative cancel flag, and, when the request asks for one, an
+ * obs::DigestSink that folds the event stream into the witness
+ * digest as it is emitted.  Identical requests therefore produce
+ * byte-identical ExecResults whether they hit or miss the cache, run
  * single-threaded or on a pool — the determinism contract the serve
  * tests enforce.
  *
@@ -93,7 +93,7 @@ ExecResult runRequest(const std::string &source,
  *  (corelang::runWarm).  Falls back to runCompiled() when the entry
  *  cannot reproduce a cold run bit-for-bit: a step budget tighter
  *  than the prelude, or a digest over a terminal entry or over a
- *  stream longer than the digest ring. */
+ *  prelude whose digest prefix a cancellation cut short. */
 void runCompiledWarm(const CompiledPtr &compiled,
                      const driver::Profile &profile,
                      const RunSpec &spec, const ExecLimits &limits,

@@ -28,6 +28,11 @@
  * resource-exhausted | frontend-error | bad-request; "ub" carries
  * the stable UB name in "ub", errors carry "message".  A "stats"
  * response carries the serve::Metrics snapshot under "stats".
+ *
+ * "trace_digest" is the run's witness digest (obs::DigestSink):
+ * FNV-1a over obs::renderEventJson(e) + "\n" for every event e of
+ * the run's witness stream, in order, then over 8 zero bytes.  It
+ * covers the whole stream, however long.
  */
 #ifndef CHERISEM_SERVE_PROTOCOL_H
 #define CHERISEM_SERVE_PROTOCOL_H

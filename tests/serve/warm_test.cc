@@ -14,12 +14,14 @@
  * are compared), a prelude that itself raises UB (terminal entry,
  * also under a budget it exhausts first), and a step budget below
  * the prelude's own steps (cold fallback).  The digest path: streams
- * longer than the digest ring (past it in main(), or already in the
- * prelude) give the cold, wrapped digest, and concurrent first
- * digests on an entry built without one share one computed digest
- * prefix.
+ * past 2^17 events (in main(), or already in the prelude) are served
+ * warm with the cold digest, and concurrent first digests on an
+ * entry built without one share one computed digest prefix.
  * Both servers run two workers, so the ThreadSanitizer job sees the
  * shared caches under concurrency.
+ *
+ * ServeDigest: a cold digest folds every event of the stream, however
+ * long, exactly as an obs::DigestSink over a plain run does.
  */
 #include <gtest/gtest.h>
 
@@ -414,12 +416,12 @@ streamLength(const std::string &prelude, const std::string &source,
     return len;
 }
 
-/** The digest ring's capacity (serve/exec.cc): a longer stream's
- *  digest covers only the retained suffix and the dropped count. */
+/** The largest trace ring the project keeps (obs::kDiffRingCapacity).
+ *  The streams below pass it: a digest still covers every event. */
 constexpr uint64_t kRing = 1 << 17;
 
 /** 19,000 malloc/free pairs: 7 events each, 133,000 in all, just
- *  past the ring (the event-densest loop per step; the TSan job runs
+ *  past kRing (the event-densest loop per step; the TSan job runs
  *  these tests). */
 const char *kChurn = "    for (int i = 0; i < 19000; i++)\n"
                      "        free(malloc(4));\n";
@@ -436,8 +438,9 @@ TEST(WarmServing, DigestPastTheRingMatchesCold)
         EXPECT_GT(len.total, kRing) << profile;
     }
     // A build without a digest, then a digest on its entry; and a
-    // build that is itself the digest run.  Neither digest can be
-    // served warm: both fall back to the cold ring path.
+    // build that is itself the digest run.  The hit is served warm and
+    // the build from its own machine; both digests cover every event,
+    // as the cold ones do.
     Request plain = runRequestFor("plain", main, "cerberus");
     plain.traceDigest = false;
     std::vector<Response> w = expectStagesMatchCold(
@@ -445,10 +448,11 @@ TEST(WarmServing, DigestPastTheRingMatchesCold)
                    {runRequestFor("digest-hit", main, "cerberus"),
                     runRequestFor("digest-build", main,
                                   "gcc-morello-O0")}});
-    for (const Response &r : w) {
+    for (const Response &r : w)
         EXPECT_EQ(r.verdict, "exit") << r.id;
-        EXPECT_FALSE(r.warm) << r.id;
-    }
+    EXPECT_FALSE(w[0].warm) << "a build";
+    EXPECT_TRUE(w[1].warm) << "the digest past 2^17 events is a warm hit";
+    EXPECT_FALSE(w[2].warm) << "a build";
 }
 
 TEST(WarmServing, PreludePastTheRingMatchesCold)
@@ -468,7 +472,34 @@ TEST(WarmServing, PreludePastTheRingMatchesCold)
     for (const Response &r : w)
         EXPECT_EQ(r.verdict, "exit") << r.id;
     EXPECT_TRUE(w[1].warm) << "a hit without a digest stays warm";
-    EXPECT_FALSE(w[2].warm) << "the digest falls back cold";
+    EXPECT_TRUE(w[2].warm) << "a digest resumed past 2^17 events stays warm";
+}
+
+TEST(ServeDigest, ColdDigestFoldsEveryEvent)
+{
+    // Every event of a stream past kRing, then 8 zero bytes: the
+    // digest() of a sink on a plain run of the same program.
+    std::string source = std::string("#include <stdlib.h>\n"
+                                     "int main(void) {\n") +
+        kChurn + "    return 0;\n}\n";
+    const driver::Profile *p = driver::findProfile("cerberus");
+    ASSERT_NE(p, nullptr);
+    RunSpec spec;
+    spec.traceDigest = true;
+    ExecResult served = runRequest(source, *p, spec, ExecLimits(), nullptr);
+    ASSERT_TRUE(served.hasDigest);
+    EXPECT_EQ(served.outcome.kind, corelang::Outcome::Kind::Exit);
+
+    auto compiled =
+        driver::compile(source, *p, "<input>", obs::Tracer());
+    ASSERT_TRUE(compiled.ok());
+    obs::DigestSink sink;
+    corelang::EvalOptions opts = p->evalOptions();
+    opts.memConfig.traceSink = &sink;
+    corelang::Machine m(compiled.value()->prog, opts);
+    EXPECT_EQ(m.run().kind, corelang::Outcome::Kind::Exit);
+    EXPECT_GT(sink.emitted(), kRing);
+    EXPECT_EQ(served.digest, sink.digest());
 }
 
 TEST(WarmServing, ConcurrentFirstDigestsOnAnUntracedEntry)
